@@ -14,7 +14,7 @@ test:
 # B/op and allocs/op plus the wall-clock of a full `neat-bench -quick` run,
 # the PDES worker-scaling ladder, the cluster connection ladder and the
 # connection-scale ladder (the 1M rung rides in as BenchmarkMillionConns).
-BENCH_OUT ?= BENCH_pr10.json
+BENCH_OUT ?= BENCH_pr12.json
 
 bench:
 	$(GO) run ./cmd/neat-benchreport -out $(BENCH_OUT)
@@ -39,7 +39,7 @@ verify:
 	$(GO) test ./...
 	$(GO) test -race -timeout 1800s ./internal/experiments -run 'TestParallel|TestFaultMatrix|TestBreakdown|TestSteering|TestPDESDeterminism|TestAttack|TestClusterDeterminism|TestClusterFailover'
 	$(GO) test -race ./internal/bufpool ./internal/nicdev -run 'TestSlabOwnershipProperty|TestBatchedHandoffOwnership' -count=1
-	$(GO) test -race ./internal/sim -run 'TestTimerWheelMatchesReferenceScheduler' -count=1
+	$(GO) test -race ./internal/sim -run 'TestTimerWheelMatchesReferenceScheduler|TestTimerWheelParkedSlotOrder|TestQueueBucketHeapOrder' -count=1
 	$(GO) test -race ./internal/ipc -run 'TestIPCRingOverflowStalls|TestIPCInjectOrdering|TestIPCCoalescedRideFIFO|TestIPCDepthHighWater|TestFastPathLatency|TestSlowPathWhenColocated|TestRebindAfterCrash' -count=1
 	$(GO) test ./internal/sim -run 'TestScheduleZeroAlloc|TestUntracedDispatchAllocBudget|TestTracedDispatchNoExtraAllocs|TestBatchedDeliveryZeroAlloc|TestTimerArmStopZeroAlloc|TestTimerStatsPendingAndCascades' -count=1
 	$(GO) test ./internal/ipc -run 'TestIPCSendRecvZeroAlloc|TestIPCBatchDrainZeroAlloc' -count=1

@@ -106,7 +106,7 @@ var benchSets = [][2]string{
 }
 
 func main() {
-	out := flag.String("out", "BENCH_pr10.json", "output JSON path")
+	out := flag.String("out", "BENCH_pr12.json", "output JSON path; must not exist yet")
 	delta := flag.Bool("delta", false,
 		"compare the two most recent BENCH_*.json snapshots (or the two files passed as arguments) instead of generating a new one")
 	flag.Parse()
@@ -116,6 +116,13 @@ func main() {
 			fatal(err)
 		}
 		return
+	}
+	// Snapshots are committed history: refuse to overwrite one, before
+	// spending minutes on the runs.
+	if _, err := os.Stat(*out); err == nil {
+		fatal(fmt.Errorf("%s already exists; pass a new -out path", *out))
+	} else if !os.IsNotExist(err) {
+		fatal(err)
 	}
 
 	rep := report{

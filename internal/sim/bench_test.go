@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"strconv"
+	"testing"
+)
 
 type benchSink struct{ n uint64 }
 
@@ -36,5 +40,36 @@ func BenchmarkSimScheduleFar(b *testing.B) {
 	s.Drain()
 	if sink.n == 0 {
 		b.Fatal("no events ran")
+	}
+}
+
+// BenchmarkTimerWheelParkedSlot measures one insert and one pop against a
+// level-0 slot already holding n entries, all parked there because their
+// deadlines lie before the wheel position. Per-op cost should grow with
+// log n, not n.
+func BenchmarkTimerWheelParkedSlot(b *testing.B) {
+	for _, n := range []int{64, 1024, 4096} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			const cur = 1 << 20
+			var w timerWheel
+			w.cur = cur
+			rng := rand.New(rand.NewSource(1))
+			deadline := func() Time { return Time(rng.Int63n(cur << bucketShift)) }
+			seq := uint64(0)
+			for i := 0; i < n; i++ {
+				seq++
+				w.insert(deadline(), seq, 0, nil, 0, nil, nil)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				seq++
+				w.insert(deadline(), seq, 0, nil, 0, nil, nil)
+				if _, _, ok := w.peek(); !ok {
+					b.Fatal("empty wheel")
+				}
+				w.pop()
+			}
+		})
 	}
 }

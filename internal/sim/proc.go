@@ -409,6 +409,7 @@ func (p *Proc) runDispatch() {
 			*tf = timerFire{}
 			p.sim.tfFree = append(p.sim.tfFree, tf)
 			if stale {
+				p.sim.tw.stale++
 				continue // stopped or re-armed since this firing was scheduled
 			}
 		}
@@ -523,7 +524,7 @@ func (p *Proc) runDispatch() {
 			// position; messages appended afterwards ride in the same event
 			// (the batch is only read when the event pops, strictly after
 			// this flush completes).
-			p.sim.schedule(at, event{kind: evDeliverBatch, proc: out.dst, msg: b})
+			p.sim.schedule(at, event{kind: evDeliverBatch, msg: b})
 			groups = append(groups, flushGroup{at: at, b: b})
 		}
 		b.msgs = append(b.msgs, out.msg)

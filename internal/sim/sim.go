@@ -16,11 +16,13 @@
 // byte-identical to the sequential mode.
 //
 // The event queue is a calendar queue (timing wheel): near-future events
-// live in fixed time buckets whose slot storage is recycled run after run,
-// and far-future events (retransmission timeouts, TIME_WAIT expiry) fall
-// back to a binary heap until the wheel horizon reaches them. The hottest
-// schedule sites use closure-free event kinds so that steady-state
-// scheduling performs no allocation at all.
+// live in fixed time buckets whose storage is recycled run after run, and
+// far-future events (retransmission timeouts, TIME_WAIT expiry) fall back to
+// a far heap until the wheel horizon reaches them. Each bucket is itself a
+// binary min-heap of pointer-free (at, seq) keys into a slab of event
+// payloads, so finding the earliest event is O(1) and removing it O(log n)
+// however crowded its bucket is. The hottest schedule sites use closure-free
+// event kinds so that steady-state scheduling performs no allocation at all.
 package sim
 
 import (
@@ -77,75 +79,20 @@ const (
 	evDispatch                   // run proc.runDispatch()
 	evDeliver                    // proc.Deliver(msg)
 	evHandler                    // h.OnEvent(tag)
-	evDeliverBatch               // deliver every message of a msgBatch to proc
+	evDeliverBatch               // deliver every message of a msgBatch to its destination
 )
 
-// event is one queue entry. The kind discriminates which payload fields are
-// live; keeping them unioned in one flat struct lets bucket slots be reused
-// without any per-event allocation.
+// event is the payload of one queue entry. The kind discriminates which
+// fields are live; keeping them unioned in one flat struct lets slab slots be
+// reused without any per-event allocation. Its order lives in the key that
+// points at it.
 type event struct {
-	at   Time
-	seq  uint64
 	kind evKind
 	fn   func()
 	proc *Proc
 	msg  Message
 	h    EventHandler
 	tag  uint64
-}
-
-// eventHeap is a binary min-heap ordered by (at, seq). It holds only
-// far-future events that do not fit the wheel horizon.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() event {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	old[n] = event{} // release references for GC
-	*h = old[:n]
-	h.siftDown(0)
-	return top
-}
-
-func (h eventHeap) siftDown(i int) {
-	n := len(h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && h.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
-	}
 }
 
 // Calendar-queue geometry: 1024 buckets of 4096 ns each give a ~4.2 ms
@@ -164,41 +111,48 @@ const (
 // heap and migrate in as cur advances. Invariant: every far event's bucket
 // index is >= cur, and at any moment the earliest event overall is in the
 // wheel whenever the wheel is non-empty.
+//
+// Every bucket and the far heap are binary min-heaps of keys, so the
+// earliest event of a bucket is its root: peeking is O(1) and a pop is
+// O(log n) in the bucket's occupancy. Event payloads are written once into
+// the slab on push and read once on take; heap sifts move keys only.
 type eventQueue struct {
-	// wheel slot storage is recycled: bucket slices keep their capacity
-	// after being drained, acting as a free list for event slots.
-	wheel [wheelBuckets][]event
+	// wheel bucket storage is recycled: bucket slices keep their capacity
+	// after being drained.
+	wheel [wheelBuckets]keyHeap
 	// occ is an occupancy bitmap over wheel slots for O(1) next-bucket
 	// scans.
 	occ   [wheelBuckets / 64]uint64
 	cur   int64 // monotonic bucket counter: wheel horizon is [cur, cur+wheelBuckets)
 	count int   // events resident in the wheel
-	far   eventHeap
+	far   keyHeap
+	slab  slab[event]
 }
 
 func (q *eventQueue) empty() bool { return q.count == 0 && len(q.far) == 0 }
 
 func (q *eventQueue) len() int { return q.count + len(q.far) }
 
-func (q *eventQueue) push(e event) {
-	if int64(e.at)>>bucketShift >= q.cur+wheelBuckets {
-		q.far.push(e)
+func (q *eventQueue) push(at Time, seq uint64, e event) {
+	k := key{at: at, seq: seq, idx: q.slab.put(e)}
+	if int64(at)>>bucketShift >= q.cur+wheelBuckets {
+		q.far.push(k)
 		return
 	}
-	q.wheelInsert(e)
+	q.wheelInsert(k)
 }
 
-func (q *eventQueue) wheelInsert(e event) {
-	bi := int64(e.at) >> bucketShift
+func (q *eventQueue) wheelInsert(k key) {
+	bi := int64(k.at) >> bucketShift
 	if bi < q.cur {
 		// A bounded pop may advance cur past bucket(now) without running
 		// the event it peeked at. Insertions before cur park in the first
-		// bucket: the per-bucket (at, seq) scan still pops them first, and
-		// cur cannot advance past a non-empty current bucket.
+		// bucket: its heap order still pops them first, and cur cannot
+		// advance past a non-empty current bucket.
 		bi = q.cur
 	}
 	slot := bi & wheelMask
-	q.wheel[slot] = append(q.wheel[slot], e)
+	q.wheel[slot].push(k)
 	q.occ[slot>>6] |= 1 << uint(slot&63)
 	q.count++
 }
@@ -229,15 +183,15 @@ func (q *eventQueue) firstSlot() int64 {
 	panic("sim: occupancy bitmap empty with count > 0")
 }
 
-// peekPos advances the horizon to the first occupied bucket and returns the
-// position and (at, seq) key of the earliest event without removing it. The
+// peekPos advances the horizon to the first occupied bucket and returns that
+// slot and the (at, seq) key of the earliest event without removing it. The
 // horizon advance and far-heap migration it performs are order-neutral, so a
 // peek whose event is not taken (the merged pop chose the timer wheel, or a
 // bounded run stopped) leaves behavior unchanged.
-func (q *eventQueue) peekPos() (slot int64, idx int, at Time, seq uint64, ok bool) {
+func (q *eventQueue) peekPos() (slot int64, at Time, seq uint64, ok bool) {
 	if q.count == 0 {
 		if len(q.far) == 0 {
-			return 0, 0, 0, 0, false
+			return 0, 0, 0, false
 		}
 		// The wheel drained with far events pending: jump the horizon to
 		// the earliest far bucket and migrate.
@@ -250,48 +204,38 @@ func (q *eventQueue) peekPos() (slot int64, idx int, at Time, seq uint64, ok boo
 	// buckets strictly after this one, preserving order.
 	q.cur += (slot - q.cur) & wheelMask
 	q.migrate()
-
-	b := q.wheel[slot]
-	min := 0
-	for i := 1; i < len(b); i++ {
-		if b[i].at < b[min].at || (b[i].at == b[min].at && b[i].seq < b[min].seq) {
-			min = i
-		}
-	}
-	return slot, min, b[min].at, b[min].seq, true
+	k := &q.wheel[slot][0]
+	return slot, k.at, k.seq, true
 }
 
-// take removes and returns the event a peekPos located.
-func (q *eventQueue) take(slot int64, idx int) event {
-	b := q.wheel[slot]
-	e := b[idx]
-	last := len(b) - 1
-	b[idx] = b[last]
-	b[last] = event{} // release references for GC; slot capacity is reused
-	q.wheel[slot] = b[:last]
-	if last == 0 {
+// take removes the earliest event of the bucket a peekPos located and
+// returns its time and payload, releasing its slab slot for reuse.
+func (q *eventQueue) take(slot int64) (Time, event) {
+	k := q.wheel[slot].pop()
+	if len(q.wheel[slot]) == 0 {
 		q.occ[slot>>6] &^= 1 << uint(slot&63)
 	}
 	q.count--
-	return e
+	return k.at, q.slab.take(k.idx)
 }
 
-// pop removes and returns the earliest event. If bounded, events after
-// limit are left in place and ok is false.
-func (q *eventQueue) pop(limit Time, bounded bool) (e event, ok bool) {
-	slot, idx, at, _, ok := q.peekPos()
+// pop removes the earliest event and returns its time and payload. If
+// bounded, events after limit are left in place and ok is false.
+func (q *eventQueue) pop(limit Time, bounded bool) (at Time, e event, ok bool) {
+	slot, at, _, ok := q.peekPos()
 	if !ok || (bounded && at > limit) {
-		return event{}, false
+		return 0, event{}, false
 	}
-	return q.take(slot, idx), true
+	at, e = q.take(slot)
+	return at, e, true
 }
 
 // peekTime returns the timestamp of the earliest pending event without
 // mutating the queue. The wheel invariant (the earliest event overall is in
 // the wheel whenever the wheel is non-empty, and earlier buckets hold
 // strictly earlier times than later ones) makes the first occupied bucket's
-// minimum the global minimum. The PDES coordinator uses this at every
-// barrier to pick the next window start.
+// root the global minimum. The PDES coordinator uses this at every barrier
+// to pick the next window start.
 func (q *eventQueue) peekTime() (Time, bool) {
 	if q.count == 0 {
 		if len(q.far) == 0 {
@@ -299,14 +243,7 @@ func (q *eventQueue) peekTime() (Time, bool) {
 		}
 		return q.far[0].at, true
 	}
-	b := q.wheel[q.firstSlot()]
-	min := b[0].at
-	for i := 1; i < len(b); i++ {
-		if b[i].at < min {
-			min = b[i].at
-		}
-	}
-	return min, true
+	return q.wheel[q.firstSlot()][0].at, true
 }
 
 // Tracer observes the message path of a simulation. It is the hook behind
@@ -378,12 +315,10 @@ type Simulator struct {
 	ipc ipcCounters
 }
 
-// msgBatch carries the messages of one batched delivery. The simulation is
-// single-threaded, so a plain freelist suffices. dsts, when non-empty, is
-// parallel to msgs and carries a per-message destination (the flush-vector
-// form: one simulator event delivering to several inboxes); empty means
-// every message goes to the event's proc (the single-destination form used
-// by DeliverBatchAt).
+// msgBatch carries the messages of one flush vector: one simulator event
+// delivering to several inboxes. dsts is parallel to msgs and names each
+// message's destination. The simulation is single-threaded, so a plain
+// freelist suffices.
 type msgBatch struct {
 	msgs []Message
 	dsts []*Proc
@@ -462,9 +397,7 @@ func (s *Simulator) schedule(t Time, e event) {
 		t = s.now
 	}
 	s.seq++
-	e.at = t
-	e.seq = s.seq
-	s.q.push(e)
+	s.q.push(t, s.seq, e)
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past is an
@@ -493,30 +426,9 @@ func (s *Simulator) DeliverAt(t Time, p *Proc, msg Message) {
 	s.schedule(t, event{kind: evDeliver, proc: p, msg: msg})
 }
 
-// DeliverBatchAt delivers every message of msgs to p at absolute time t as
-// one queue entry: one sequence number, one calendar-queue insertion, one
-// pop. The messages land in p's inbox in slice order, exactly as if each had
-// been scheduled by consecutive DeliverAt calls (consecutive sequence
-// numbers admit no interleaving event between them), and the batch counts as
-// len(msgs) events in EventsRun so observable statistics do not depend on
-// how deliveries were grouped. msgs is copied; the caller keeps ownership of
-// the slice.
-func (s *Simulator) DeliverBatchAt(t Time, p *Proc, msgs []Message) {
-	switch len(msgs) {
-	case 0:
-		return
-	case 1:
-		s.DeliverAt(t, p, msgs[0])
-		return
-	}
-	b := s.getBatch()
-	b.msgs = append(b.msgs[:0], msgs...)
-	s.schedule(t, event{kind: evDeliverBatch, proc: p, msg: b})
-}
-
 // run executes one popped event.
-func (s *Simulator) run(e event) {
-	s.now = e.at
+func (s *Simulator) run(at Time, e event) {
+	s.now = at
 	s.eventsRun++
 	switch e.kind {
 	case evFunc:
@@ -533,22 +445,15 @@ func (s *Simulator) run(e event) {
 		// events so EventsRun (and everything reported from it) is
 		// independent of how deliveries were grouped.
 		s.eventsRun += uint64(len(b.msgs)) - 1
-		if len(b.dsts) > 0 {
-			// Flush-vector form: deliveries land in slice order, exactly
-			// the order the sends were buffered, whatever their targets.
-			for i, m := range b.msgs {
-				b.dsts[i].Deliver(m)
-				b.msgs[i] = nil
-				b.dsts[i] = nil
-			}
-			b.dsts = b.dsts[:0]
-		} else {
-			for i, m := range b.msgs {
-				e.proc.Deliver(m)
-				b.msgs[i] = nil
-			}
+		// Deliveries land in slice order, exactly the order the sends
+		// were buffered, whatever their targets.
+		for i, m := range b.msgs {
+			b.dsts[i].Deliver(m)
+			b.msgs[i] = nil
+			b.dsts[i] = nil
 		}
 		b.msgs = b.msgs[:0]
+		b.dsts = b.dsts[:0]
 		s.batchFree = append(s.batchFree, b)
 	}
 }

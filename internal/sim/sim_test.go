@@ -483,6 +483,16 @@ func TestRespawnRevivesEndpointInPlace(t *testing.T) {
 
 // ---- eventQueue edge cases: far-heap migration, bucket boundaries ----
 
+// qpush queues a bare event whose tag records its seq, so a test can tell
+// which event a pop returned.
+func qpush(q *eventQueue, at Time, seq uint64) { q.push(at, seq, event{tag: seq}) }
+
+// qpop pops the earliest event and returns its time and seq.
+func qpop(q *eventQueue, limit Time, bounded bool) (Time, uint64, bool) {
+	at, e, ok := q.pop(limit, bounded)
+	return at, e.tag, ok
+}
+
 // TestQueueFarWheelMigrationBoundary exercises push/pop exactly around the
 // wheel horizon: events one tick inside, exactly at, and one tick beyond
 // the horizon, plus occupancy-word boundaries, must still pop in (at, seq)
@@ -501,24 +511,24 @@ func TestQueueFarWheelMigrationBoundary(t *testing.T) {
 		(wheelBuckets - 1) << bucketShift, // last wheel slot
 	}
 	for i, at := range times {
-		q.push(event{at: at, seq: uint64(i + 1)})
+		qpush(&q, at, uint64(i+1))
 	}
 	var got []Time
 	prevSeq := uint64(0)
 	prev := Time(-1)
 	for !q.empty() {
-		e, ok := q.pop(0, false)
+		at, seq, ok := qpop(&q, 0, false)
 		if !ok {
 			t.Fatal("pop failed with events pending")
 		}
-		if e.at < prev {
-			t.Fatalf("popped %v after %v", e.at, prev)
+		if at < prev {
+			t.Fatalf("popped %v after %v", at, prev)
 		}
-		if e.at == prev && e.seq < prevSeq {
-			t.Fatalf("same-time events out of seq order: %d after %d", e.seq, prevSeq)
+		if at == prev && seq < prevSeq {
+			t.Fatalf("same-time events out of seq order: %d after %d", seq, prevSeq)
 		}
-		prev, prevSeq = e.at, e.seq
-		got = append(got, e.at)
+		prev, prevSeq = at, seq
+		got = append(got, at)
 	}
 	if len(got) != len(times) {
 		t.Fatalf("popped %d events, want %d", len(got), len(times))
@@ -531,11 +541,11 @@ func TestQueueFarWheelMigrationBoundary(t *testing.T) {
 func TestQueueSameTickSeqAcrossMigration(t *testing.T) {
 	var q eventQueue
 	tick := Time((wheelBuckets + 3) << bucketShift) // beyond the initial horizon
-	q.push(event{at: tick, seq: 1})                 // far
-	q.push(event{at: 100, seq: 2})                  // wheel
-	q.push(event{at: tick, seq: 3})                 // far
-	if e, _ := q.pop(0, false); e.seq != 2 {
-		t.Fatalf("first pop seq = %d, want 2", e.seq)
+	qpush(&q, tick, 1)                              // far
+	qpush(&q, 100, 2)                               // wheel
+	qpush(&q, tick, 3)                              // far
+	if _, seq, _ := qpop(&q, 0, false); seq != 2 {
+		t.Fatalf("first pop seq = %d, want 2", seq)
 	}
 	// The wheel is now empty; the next operations jump the horizon to tick's
 	// bucket and migrate both far events. A direct insertion at the same
@@ -543,15 +553,15 @@ func TestQueueSameTickSeqAcrossMigration(t *testing.T) {
 	if at, ok := q.peekTime(); !ok || at != tick {
 		t.Fatalf("peekTime = %v/%v, want %v", at, ok, tick)
 	}
-	if e, _ := q.pop(0, false); e.seq != 1 {
-		t.Fatalf("second pop seq = %d, want 1", e.seq)
+	if _, seq, _ := qpop(&q, 0, false); seq != 1 {
+		t.Fatalf("second pop seq = %d, want 1", seq)
 	}
-	q.push(event{at: tick, seq: 4}) // now within the horizon: wheel-direct
-	if e, _ := q.pop(0, false); e.seq != 3 {
-		t.Fatalf("third pop seq = %d, want 3", e.seq)
+	qpush(&q, tick, 4) // now within the horizon: wheel-direct
+	if _, seq, _ := qpop(&q, 0, false); seq != 3 {
+		t.Fatalf("third pop seq = %d, want 3", seq)
 	}
-	if e, _ := q.pop(0, false); e.seq != 4 {
-		t.Fatalf("fourth pop seq = %d, want 4", e.seq)
+	if _, seq, _ := qpop(&q, 0, false); seq != 4 {
+		t.Fatalf("fourth pop seq = %d, want 4", seq)
 	}
 }
 
@@ -560,19 +570,19 @@ func TestQueueSameTickSeqAcrossMigration(t *testing.T) {
 // for an earlier time must park in the current bucket and still pop first.
 func TestQueueInsertBeforeCurParks(t *testing.T) {
 	var q eventQueue
-	q.push(event{at: 5 << bucketShift, seq: 1})
-	if _, ok := q.pop(10, true); ok {
+	qpush(&q, 5<<bucketShift, 1)
+	if _, _, ok := qpop(&q, 10, true); ok {
 		t.Fatal("bounded pop returned an event past its limit")
 	}
-	q.push(event{at: 3, seq: 2}) // bucket(3) = 0 < cur = 5: parks in bucket 5
+	qpush(&q, 3, 2) // bucket(3) = 0 < cur = 5: parks in bucket 5
 	if at, ok := q.peekTime(); !ok || at != 3 {
 		t.Fatalf("peekTime = %v/%v, want 3", at, ok)
 	}
-	if e, _ := q.pop(0, false); e.seq != 2 {
-		t.Fatalf("first pop seq = %d, want the parked earlier event", e.seq)
+	if _, seq, _ := qpop(&q, 0, false); seq != 2 {
+		t.Fatalf("first pop seq = %d, want the parked earlier event", seq)
 	}
-	if e, _ := q.pop(0, false); e.seq != 1 {
-		t.Fatalf("second pop seq = %d, want 1", e.seq)
+	if _, seq, _ := qpop(&q, 0, false); seq != 1 {
+		t.Fatalf("second pop seq = %d, want 1", seq)
 	}
 }
 
@@ -586,7 +596,7 @@ func TestQueuePeekTimeMatchesPop(t *testing.T) {
 	}
 	span := int64(wheelBuckets) << (bucketShift + 2) // 4 horizons worth
 	for i := 0; i < 500; i++ {
-		q.push(event{at: Time(rng.Int63n(span)), seq: uint64(i + 1)})
+		qpush(&q, Time(rng.Int63n(span)), uint64(i+1))
 	}
 	prev := Time(-1)
 	for n := 0; !q.empty(); n++ {
@@ -594,20 +604,107 @@ func TestQueuePeekTimeMatchesPop(t *testing.T) {
 		if !ok {
 			t.Fatal("peekTime reported empty with events pending")
 		}
-		e, _ := q.pop(0, false)
-		if e.at != at {
-			t.Fatalf("peekTime = %v but pop returned %v", at, e.at)
+		got, _, _ := qpop(&q, 0, false)
+		if got != at {
+			t.Fatalf("peekTime = %v but pop returned %v", at, got)
 		}
-		if e.at < prev {
-			t.Fatalf("popped %v after %v", e.at, prev)
+		if got < prev {
+			t.Fatalf("popped %v after %v", got, prev)
 		}
-		prev = e.at
+		prev = got
 		// Interleave pushes to re-create wheel/far mixtures mid-drain.
 		if n%7 == 0 {
-			q.push(event{at: prev + Time(rng.Int63n(span)), seq: uint64(1000 + n)})
+			qpush(&q, prev+Time(rng.Int63n(span)), uint64(1000+n))
 		}
 	}
 	if _, ok := q.peekTime(); ok {
 		t.Fatal("peekTime on a drained queue reported an event")
+	}
+}
+
+// TestQueueBucketHeapOrder drives random push/pop interleavings that crowd
+// one bucket at a time — dense same-time ties, inserts parked before cur by
+// a bounded pop that advanced the horizon without taking, and far-heap
+// events migrating in — and checks every pop and peek against a sorted
+// reference.
+func TestQueueBucketHeapOrder(t *testing.T) {
+	horizon := Time(wheelBuckets) << bucketShift
+	for seed := int64(0); seed < 16; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var q eventQueue
+		var ref []key
+		seq := uint64(0)
+		now := Time(0)
+		push := func(at Time) {
+			seq++
+			qpush(&q, at, seq)
+			ref = append(ref, key{at: at, seq: seq})
+		}
+		// refMin removes and returns the reference's earliest key.
+		refMin := func() key {
+			m := 0
+			for i := range ref {
+				if ref[i].less(&ref[m]) {
+					m = i
+				}
+			}
+			k := ref[m]
+			ref = append(ref[:m], ref[m+1:]...)
+			return k
+		}
+		parked := 0
+		for step := 0; step < 4000; step++ {
+			switch r := rng.Intn(20); {
+			case r < 5: // crowd the current bucket, with frequent ties
+				if Time(q.cur)<<bucketShift > now {
+					parked++
+				}
+				push(now + Time(rng.Int63n(8))*Time(rng.Int63n(600)))
+			case r < 7: // a few buckets ahead: a bounded pop may stop short of it
+				push(now + Time(rng.Int63n(16<<bucketShift)))
+			case r < 8: // far heap
+				push(now + horizon + Time(rng.Int63n(int64(2*horizon))))
+			case r < 13: // bounded pop; a miss leaves the clock at the limit
+				limit := now + Time(rng.Int63n(2<<bucketShift))
+				if at, ok := q.peekTime(); ok != (len(ref) > 0) || (ok && at < now) {
+					t.Fatalf("seed %d step %d: peekTime %v/%v with %d pending", seed, step, at, ok, len(ref))
+				}
+				at, s, ok := qpop(&q, limit, true)
+				if !ok {
+					for i := range ref {
+						if ref[i].at <= limit {
+							t.Fatalf("seed %d step %d: bounded pop missed %v <= %v", seed, step, ref[i].at, limit)
+						}
+					}
+					now = limit
+					continue
+				}
+				if want := refMin(); at != want.at || s != want.seq {
+					t.Fatalf("seed %d step %d: popped (%v,%d), want (%v,%d)", seed, step, at, s, want.at, want.seq)
+				}
+				now = at
+			default:
+				if len(ref) == 0 {
+					continue
+				}
+				at, s, ok := qpop(&q, 0, false)
+				if want := refMin(); !ok || at != want.at || s != want.seq {
+					t.Fatalf("seed %d step %d: popped (%v,%d,%v), want (%v,%d)", seed, step, at, s, ok, want.at, want.seq)
+				}
+				now = at
+			}
+		}
+		for len(ref) > 0 {
+			at, s, _ := qpop(&q, 0, false)
+			if want := refMin(); at != want.at || s != want.seq {
+				t.Fatalf("seed %d drain: popped (%v,%d), want (%v,%d)", seed, at, s, want.at, want.seq)
+			}
+		}
+		if live := len(q.slab.items) - len(q.slab.free); !q.empty() || live != 0 {
+			t.Fatalf("seed %d: drained queue holds %d slab slots", seed, live)
+		}
+		if parked == 0 {
+			t.Fatalf("seed %d: no insert parked before cur", seed)
+		}
 	}
 }

@@ -17,10 +17,13 @@ import "math/bits"
 // Determinism. Every arm records the (deadline, sequence) the legacy path
 // would have stamped on its delivery event — a run of timer arms flushed by
 // one dispatch to the same deadline shares one sequence number, exactly like
-// a batched delivery — plus a wheel-global arm order for same-(at, seq)
-// ties. The merged pop compares the queue head and the wheel head
-// lexicographically by (at, seq); within the wheel, entries order by
-// (at, seq, ord). A popped entry is delivered through Proc.Deliver like any
+// a batched delivery — plus the arm's position within that run for
+// same-(at, seq) ties. The merged pop compares the queue head and the wheel
+// head lexicographically by (at, seq); within the wheel, entries order by
+// (at, seq, ord). Slots hold pointer-free keys into an entry slab, and every
+// level-0 slot is a binary min-heap of them, so the wheel head is the root of
+// the current slot: O(1) to peek and O(log n) to pop however many entries
+// share the slot. A popped entry is delivered through Proc.Deliver like any
 // scheduled message, so drop injection, dead-process drops and trace stamps
 // behave identically to the event path.
 //
@@ -43,89 +46,29 @@ const (
 	twSlotMask = twSlots - 1
 )
 
-// twEntry is one armed timer. Entries are stored by value in slot slices
-// (whose capacity is recycled like calendar-queue buckets), so arming in
+// twEntry is the payload of one armed timer; its key in the wheel carries
+// the deadline and order. Entries live in a recycled slab, so arming in
 // steady state allocates nothing.
 type twEntry struct {
-	at   Time
-	seq  uint64 // sequence the legacy event path would have used
-	ord  uint64 // wheel-global arm order, tie-break within one (at, seq)
 	t    *Timer
 	gen  uint64
 	msg  Message
 	proc *Proc
 }
 
-func twLess(a, b *twEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.seq != b.seq {
-		return a.seq < b.seq
-	}
-	return a.ord < b.ord
-}
-
-// twHeap is a binary min-heap by (at, seq, ord) holding entries beyond the
-// L2 horizon.
-type twHeap []twEntry
-
-func (h *twHeap) push(e twEntry) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !twLess(&(*h)[i], &(*h)[parent]) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *twHeap) pop() twEntry {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	old[n] = twEntry{} // release references for GC
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && twLess(&old[l], &old[smallest]) {
-			smallest = l
-		}
-		if r < n && twLess(&old[r], &old[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			return top
-		}
-		old[i], old[smallest] = old[smallest], old[i]
-		i = smallest
-	}
-}
-
 type timerWheel struct {
-	slots  [twLevels][twSlots][]twEntry
+	// slots hold keys; level-0 slots are heaps, higher levels unordered
+	// (a cascade re-places every key anyway).
+	slots  [twLevels][twSlots]keyHeap
 	occ    [twLevels][twSlots / 64]uint64
 	counts [twLevels]int
-	cur    int64 // monotonic L0 bucket counter; L0 horizon is [cur, cur+twSlots)
-	far    twHeap
-	armOrd uint64
-
-	// Cached minimum: valid between a peek and the pop (or insert of a
-	// smaller entry) that follows it, so the merged pop's wheel peek is O(1)
-	// on the hot path. The cached min always resides in an L0 slot.
-	minValid bool
-	min      twEntry
-	minSlot  int64
-	minIdx   int
+	cur    int64   // monotonic L0 bucket counter; L0 horizon is [cur, cur+twSlots)
+	far    keyHeap // entries beyond the L2 horizon
+	ents   slab[twEntry]
 
 	cascaded uint64 // entries scattered down a level by lazy cascade
 	fired    uint64 // entries popped for delivery (including stale ones)
+	stale    uint64 // firings dropped at dispatch (either backend)
 }
 
 func (w *timerWheel) pending() int {
@@ -135,50 +78,47 @@ func (w *timerWheel) pending() int {
 func (w *timerWheel) empty() bool { return w.pending() == 0 }
 
 // insert arms one entry. seq is shared by every arm of one flushed run;
-// the wheel-global arm order disambiguates within it.
-func (w *timerWheel) insert(at Time, seq uint64, t *Timer, gen uint64, msg Message, p *Proc) {
-	e := twEntry{at: at, seq: seq, ord: w.armOrd, t: t, gen: gen, msg: msg, proc: p}
-	w.armOrd++
-	lvl, slot := w.place(e)
-	if w.minValid && lvl == 0 && twLess(&e, &w.min) {
-		w.min = e
-		w.minSlot = slot
-		w.minIdx = len(w.slots[0][slot]) - 1
-	}
+// ord, the arm's position within the run, disambiguates within it.
+func (w *timerWheel) insert(at Time, seq uint64, ord uint32, t *Timer, gen uint64, msg Message, p *Proc) {
+	idx := w.ents.put(twEntry{t: t, gen: gen, msg: msg, proc: p})
+	w.place(key{at: at, seq: seq, ord: ord, idx: idx})
 }
 
 // place routes an entry to the innermost level whose horizon contains it.
-// Entries whose bucket already passed park in the current L0 slot: the
-// per-slot (at, seq, ord) scan still pops them first, and the position never
+// Entries whose bucket already passed park in the current L0 slot. Parking is
+// the common case, not an edge: every merged pop peeks the wheel, which
+// settles the position onto the earliest timer's slot, and the earlier queue
+// events that run first keep arming shorter timers behind it. The slot's heap
+// order pops parked entries first at O(log n), and the position never
 // advances past a non-empty current slot.
-func (w *timerWheel) place(e twEntry) (level int, slot int64) {
-	b0 := int64(e.at) >> bucketShift
+func (w *timerWheel) place(k key) {
+	b0 := int64(k.at) >> bucketShift
 	if b0 < w.cur {
 		b0 = w.cur
 	}
 	if b0-w.cur < twSlots {
-		s := b0 & twSlotMask
-		w.put(0, s, e)
-		return 0, s
+		w.put(0, b0&twSlotMask, k)
+		return
 	}
 	b1 := b0 >> twSlotBits
 	if b1-w.cur>>twSlotBits < twSlots {
-		s := b1 & twSlotMask
-		w.put(1, s, e)
-		return 1, s
+		w.put(1, b1&twSlotMask, k)
+		return
 	}
 	b2 := b1 >> twSlotBits
 	if b2-w.cur>>(2*twSlotBits) < twSlots {
-		s := b2 & twSlotMask
-		w.put(2, s, e)
-		return 2, s
+		w.put(2, b2&twSlotMask, k)
+		return
 	}
-	w.far.push(e)
-	return -1, 0
+	w.far.push(k)
 }
 
-func (w *timerWheel) put(level int, slot int64, e twEntry) {
-	w.slots[level][slot] = append(w.slots[level][slot], e)
+func (w *timerWheel) put(level int, slot int64, k key) {
+	if level == 0 {
+		w.slots[0][slot].push(k)
+	} else {
+		w.slots[level][slot] = append(w.slots[level][slot], k)
+	}
 	w.occ[level][slot>>6] |= 1 << uint(slot&63)
 	w.counts[level]++
 }
@@ -215,7 +155,6 @@ func (w *timerWheel) cascade(level int, slot int64) {
 	w.cascaded += uint64(len(b))
 	for i := range b {
 		w.place(b[i])
-		b[i] = twEntry{} // release references; slot capacity is recycled
 	}
 }
 
@@ -265,51 +204,29 @@ func (w *timerWheel) settle() bool {
 }
 
 // peek returns the earliest pending (at, seq) without removing it, settling
-// cascades as needed. The result is cached until the next pop.
+// cascades as needed: the root of the current L0 slot's heap.
 func (w *timerWheel) peek() (Time, uint64, bool) {
-	if w.minValid {
-		return w.min.at, w.min.seq, true
-	}
 	if !w.settle() {
 		return 0, 0, false
 	}
-	slot := w.cur & twSlotMask // settle leaves cur at the first occupied slot
-	b := w.slots[0][slot]
-	min := 0
-	for i := 1; i < len(b); i++ {
-		if twLess(&b[i], &b[min]) {
-			min = i
-		}
-	}
-	w.minValid = true
-	w.min = b[min]
-	w.minSlot = slot
-	w.minIdx = min
-	return w.min.at, w.min.seq, true
+	e := &w.slots[0][w.cur&twSlotMask][0] // settle leaves cur at the first occupied slot
+	return e.at, e.seq, true
 }
 
-// pop removes and returns the earliest entry. Callers peek first; pop
-// re-peeks only defensively.
-func (w *timerWheel) pop() twEntry {
-	if !w.minValid {
-		if _, _, ok := w.peek(); !ok {
-			panic("sim: pop from an empty timer wheel")
-		}
+// pop removes the earliest entry and returns its deadline and payload.
+// Callers peek first, which leaves settle nothing to do here.
+func (w *timerWheel) pop() (Time, twEntry) {
+	if !w.settle() {
+		panic("sim: pop from an empty timer wheel")
 	}
-	slot, idx := w.minSlot, w.minIdx
-	b := w.slots[0][slot]
-	e := b[idx]
-	last := len(b) - 1
-	b[idx] = b[last]
-	b[last] = twEntry{} // release references; slot capacity is reused
-	w.slots[0][slot] = b[:last]
-	if last == 0 {
+	slot := w.cur & twSlotMask
+	k := w.slots[0][slot].pop()
+	if len(w.slots[0][slot]) == 0 {
 		w.occ[0][slot>>6] &^= 1 << uint(slot&63)
 	}
 	w.counts[0]--
-	w.minValid = false
 	w.fired++
-	return e
+	return k.at, w.ents.take(k.idx)
 }
 
 // TimerBackend selects how armed timers are scheduled.
@@ -349,7 +266,7 @@ func (s *Simulator) armTimers(at Time, arms []outMsg) {
 	s.seq++
 	for k := range arms {
 		o := &arms[k]
-		s.tw.insert(at, s.seq, o.timer, o.tgen, o.msg, o.dst)
+		s.tw.insert(at, s.seq, uint32(k), o.timer, o.tgen, o.msg, o.dst)
 	}
 }
 
@@ -357,8 +274,8 @@ func (s *Simulator) armTimers(at Time, arms []outMsg) {
 // now, from the freelist, and travels through Proc.Deliver exactly like a
 // scheduled delivery event: drop injection, dead-process drops, tracer
 // arrival stamps and wake scheduling all behave identically.
-func (s *Simulator) fireTimer(e twEntry) {
-	s.now = e.at
+func (s *Simulator) fireTimer(at Time, e twEntry) {
+	s.now = at
 	s.eventsRun++
 	e.proc.Deliver(s.newTimerFire(e.t, e.gen, e.msg))
 }
@@ -369,19 +286,19 @@ func (s *Simulator) fireTimer(e twEntry) {
 func (s *Simulator) stepNext(limit Time, bounded bool) bool {
 	wa, wseq, wok := s.tw.peek()
 	if !wok {
-		e, ok := s.q.pop(limit, bounded)
+		at, e, ok := s.q.pop(limit, bounded)
 		if !ok {
 			return false
 		}
-		s.run(e)
+		s.run(at, e)
 		return true
 	}
-	slot, idx, qa, qseq, qok := s.q.peekPos()
+	slot, qa, qseq, qok := s.q.peekPos()
 	if qok && (qa < wa || (qa == wa && qseq < wseq)) {
 		if bounded && qa > limit {
 			return false
 		}
-		s.run(s.q.take(slot, idx))
+		s.run(s.q.take(slot))
 		return true
 	}
 	if bounded && wa > limit {
@@ -416,22 +333,27 @@ func (s *Simulator) idleLocal() bool { return s.q.empty() && s.tw.empty() }
 
 // TimerStats reports timer-wheel counters: entries resident (including
 // lazily-stopped ones awaiting their deadline), entries scattered down a
-// level by cascades, and entries popped for delivery. On a PDES control
-// plane it totals across all domains; call it only at a barrier.
+// level by cascades, entries popped for delivery, and firings dropped at
+// dispatch because their timer was stopped or re-armed after arming. Fired
+// counts wheel pops only, live and stale alike; Stale is counted on either
+// backend. On a PDES control plane it totals across all domains; call it only
+// at a barrier.
 type TimerStats struct {
 	Pending  int
 	Cascades uint64
 	Fired    uint64
+	Stale    uint64
 }
 
 // TimerStats returns the simulator's timer-wheel counters.
 func (s *Simulator) TimerStats() TimerStats {
-	st := TimerStats{Pending: s.tw.pending(), Cascades: s.tw.cascaded, Fired: s.tw.fired}
+	st := TimerStats{Pending: s.tw.pending(), Cascades: s.tw.cascaded, Fired: s.tw.fired, Stale: s.tw.stale}
 	if s.pdes != nil && s.parent == nil {
 		for _, d := range s.pdes.domains {
 			st.Pending += d.tw.pending()
 			st.Cascades += d.tw.cascaded
 			st.Fired += d.tw.fired
+			st.Stale += d.tw.stale
 		}
 	}
 	return st

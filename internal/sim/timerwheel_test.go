@@ -177,3 +177,133 @@ func TestTimerStatsPendingAndCascades(t *testing.T) {
 		t.Fatal("no cascades recorded for level-1 timers")
 	}
 }
+
+// parkedTrace runs one backend over a burst that lands while the wheel
+// position runs ahead of the clock: a lone ~3 ms arm makes the merged pop's
+// peek settle the wheel onto its slot, so the dense burst of short arms that
+// follows parks in that one slot. The burst mixes shared deadlines (arms of
+// one message share a release time, hence one sequence number), several
+// flushed runs per dispatch, and stops of armed and in-flight timers. It
+// returns the firing trace and whether any arm found the position ahead of
+// the clock.
+func parkedTrace(backend TimerBackend) (trace []string, parked bool) {
+	s := New(3)
+	s.SetTimerBackend(backend)
+	m := NewMachine(s, "m", 1, 1, 1_000_000_000)
+	var long Timer
+	timers := make([]Timer, 96)
+	p := NewProc(m.Thread(0, 0), "p", HandlerFunc(func(ctx *Context, msg Message) {
+		ctx.Charge(7)
+		switch op := msg.(type) {
+		case string:
+			if op == "long" {
+				ctx.Retimer(&long, 3*Millisecond, -1)
+				return
+			}
+			if s.tw.cur > int64(s.Now())>>bucketShift {
+				parked = true
+			}
+			// One message: every arm shares a release time. Runs of six
+			// consecutive arms share a delay, hence a deadline and one
+			// sequence number, and the four delays repeat across messages.
+			base := len(op) * 24 // messages "b", "bb", "bbb", "bbbb"
+			for i := base - 24; i < base; i++ {
+				ctx.Retimer(&timers[i], Time(i/6%4)*Microsecond, i)
+				if i%5 == 0 {
+					timers[i].Stop() // stopped before the flush
+				}
+			}
+			if len(op) == 2 {
+				timers[3].Stop() // stops a timer armed by an earlier message
+			}
+		case int:
+			trace = append(trace, fmt.Sprintf("%d@%d", op, s.Now()))
+			if op >= 0 && op%7 == 0 {
+				// Re-arm from inside a firing: parks again behind cur.
+				ctx.Retimer(&timers[op], 2*Microsecond, op)
+			}
+		}
+	}), ProcConfig{})
+	p.Deliver("long")
+	s.RunUntil(50 * Microsecond)
+	// Four messages handled in one dispatch: four flushed runs.
+	for _, b := range []string{"b", "bb", "bbb", "bbbb"} {
+		p.Deliver(b)
+	}
+	s.RunUntil(10 * Millisecond)
+	return trace, parked
+}
+
+// TestTimerWheelParkedSlotOrder checks that entries parked in the current L0
+// slot — deadlines before the wheel position — pop in exactly the reference
+// scheduler's order.
+func TestTimerWheelParkedSlotOrder(t *testing.T) {
+	wheel, parked := parkedTrace(TimerBackendWheel)
+	ref, _ := parkedTrace(TimerBackendEvent)
+	if !parked {
+		t.Fatal("the burst did not find the wheel position ahead of the clock; nothing parked")
+	}
+	if len(wheel) < 64 {
+		t.Fatalf("only %d firings; the burst did not fire", len(wheel))
+	}
+	if !reflect.DeepEqual(wheel, ref) {
+		for i := 0; i < len(wheel) && i < len(ref); i++ {
+			if wheel[i] != ref[i] {
+				t.Fatalf("traces diverge at %d: wheel=%s ref=%s", i, wheel[i], ref[i])
+			}
+		}
+		t.Fatalf("trace lengths differ: wheel=%d ref=%d", len(wheel), len(ref))
+	}
+}
+
+// TestTimerStatsStale checks the live/stale split of timer firings on both
+// backends: every cancelled arming — stopped before its flush, stopped while
+// in flight, or superseded by a re-arm — is counted once as stale when its
+// firing reaches dispatch, and live firings are not.
+func TestTimerStatsStale(t *testing.T) {
+	for _, backend := range []TimerBackend{TimerBackendWheel, TimerBackendEvent} {
+		s := New(1)
+		s.SetTimerBackend(backend)
+		m := NewMachine(s, "m", 1, 1, 1_000_000_000)
+		var tm Timer
+		live := 0
+		p := NewProc(m.Thread(0, 0), "p", HandlerFunc(func(ctx *Context, msg Message) {
+			ctx.Charge(10)
+			switch msg {
+			case "arm-stop": // cancelled before the flush
+				ctx.Retimer(&tm, Millisecond, "fire")
+				tm.Stop()
+			case "arm":
+				ctx.Retimer(&tm, Millisecond, "fire")
+			case "stop": // cancelled in flight
+				tm.Stop()
+			case "rearm": // the first arming is superseded
+				ctx.Retimer(&tm, Millisecond, "fire")
+				ctx.Retimer(&tm, 2*Millisecond, "fire")
+			case "fire":
+				live++
+			}
+		}), ProcConfig{})
+		const rounds = 5
+		for i := 0; i < rounds; i++ {
+			for _, op := range []string{"arm-stop", "arm", "stop", "rearm"} {
+				p.Deliver(op)
+				if op == "arm" {
+					s.RunFor(100 * Microsecond) // let the arm flush, then stop it
+					continue
+				}
+				s.Drain()
+			}
+		}
+		ts := s.TimerStats()
+		if want := uint64(3 * rounds); ts.Stale != want {
+			t.Errorf("backend %d: stale=%d, want %d", backend, ts.Stale, want)
+		}
+		if live != rounds {
+			t.Errorf("backend %d: %d live firings, want %d", backend, live, rounds)
+		}
+		if backend == TimerBackendWheel && ts.Fired != ts.Stale+uint64(live) {
+			t.Errorf("wheel fired=%d, want stale+live=%d", ts.Fired, ts.Stale+uint64(live))
+		}
+	}
+}
