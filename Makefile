@@ -14,7 +14,7 @@ test:
 # B/op and allocs/op plus the wall-clock of a full `neat-bench -quick` run,
 # the PDES worker-scaling ladder, the cluster connection ladder and the
 # connection-scale ladder (the 1M rung rides in as BenchmarkMillionConns).
-BENCH_OUT ?= BENCH_pr12.json
+BENCH_OUT ?= BENCH_pr13.json
 
 bench:
 	$(GO) run ./cmd/neat-benchreport -out $(BENCH_OUT)
@@ -24,8 +24,9 @@ bench:
 # traced-breakdown + steering + PDES determinism + cluster determinism
 # tests under the race detector (the concurrent experiment runner and the
 # PDES coordinator must stay race-free AND byte-identical to a sequential
-# run, with or without tracing), the IPC ring semantics under the race
-# detector, the allocation guards (scheduling/dispatch and the IPC
+# run, with or without tracing), the timer-wheel order and cancellation,
+# the wire's simultaneous-arrival order and the IPC ring semantics under
+# the race detector, the allocation guards (scheduling/dispatch and the IPC
 # send/recv fast path must stay allocation-free in steady state), and
 # the md5 oracle pinning the default single-link campaign outputs: a
 # topology-plumbing change that shifts one byte of `neat-bench -quick` or
@@ -39,7 +40,8 @@ verify:
 	$(GO) test ./...
 	$(GO) test -race -timeout 1800s ./internal/experiments -run 'TestParallel|TestFaultMatrix|TestBreakdown|TestSteering|TestPDESDeterminism|TestAttack|TestClusterDeterminism|TestClusterFailover'
 	$(GO) test -race ./internal/bufpool ./internal/nicdev -run 'TestSlabOwnershipProperty|TestBatchedHandoffOwnership' -count=1
-	$(GO) test -race ./internal/sim -run 'TestTimerWheelMatchesReferenceScheduler|TestTimerWheelParkedSlotOrder|TestQueueBucketHeapOrder' -count=1
+	$(GO) test -race ./internal/sim -run 'TestTimerWheelMatchesReferenceScheduler|TestTimerWheelParkedSlotOrder|TestQueueBucketHeapOrder|TestTimerCancelLeavesWheel|TestTimerStatsStale' -count=1
+	$(GO) test -race ./internal/wire -run 'TestWireArrivalTieOrder' -count=1
 	$(GO) test -race ./internal/ipc -run 'TestIPCRingOverflowStalls|TestIPCInjectOrdering|TestIPCCoalescedRideFIFO|TestIPCDepthHighWater|TestFastPathLatency|TestSlowPathWhenColocated|TestRebindAfterCrash' -count=1
 	$(GO) test ./internal/sim -run 'TestScheduleZeroAlloc|TestUntracedDispatchAllocBudget|TestTracedDispatchNoExtraAllocs|TestBatchedDeliveryZeroAlloc|TestTimerArmStopZeroAlloc|TestTimerStatsPendingAndCascades' -count=1
 	$(GO) test ./internal/ipc -run 'TestIPCSendRecvZeroAlloc|TestIPCBatchDrainZeroAlloc' -count=1
@@ -47,7 +49,7 @@ verify:
 	$(GO) build -o $$tmp/neat-bench ./cmd/neat-bench; \
 	$(GO) build -o $$tmp/neat-faults ./cmd/neat-faults; \
 	got=$$($$tmp/neat-bench -quick | md5sum | cut -d' ' -f1); \
-	if [ "$$got" != "61623b9eb5fb5168fad2f800a29978d7" ]; then \
+	if [ "$$got" != "86114c12edf1bf34ef097de73047633b" ]; then \
 		echo "md5 oracle: neat-bench -quick output changed ($$got)"; exit 1; fi; \
 	got=$$($$tmp/neat-faults -matrix -quick | md5sum | cut -d' ' -f1); \
 	if [ "$$got" != "eae3e80b0ca40f84c2ac060885a24f84" ]; then \

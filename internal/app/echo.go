@@ -201,7 +201,7 @@ type talkConn struct {
 	got   int // bytes of the current round's echo received
 	bad   bool
 	start sim.Time
-	timer *sim.Timer
+	timer sim.Timer // the round timeout, re-armed in place every round
 	done  bool
 }
 
@@ -316,7 +316,7 @@ func (tk *Talker) sendRound(ctx *sim.Context, c *talkConn) {
 	ref := tk.arena.Alloc(len(tk.pattern))
 	copy(ref.B, tk.pattern)
 	c.sock.SendRef(ctx, ref)
-	c.timer = ctx.TimerAfter(tk.cfg.Timeout, talkTimeout{c: c, round: c.round})
+	ctx.Retimer(&c.timer, tk.cfg.Timeout, talkTimeout{c: c, round: c.round})
 }
 
 // onData consumes echo bytes; a full message completes the round.
@@ -345,10 +345,7 @@ func (tk *Talker) onData(ctx *sim.Context, c *talkConn, data []byte, eof bool) {
 // completeRound accounts one echoed message and advances the conversation.
 func (tk *Talker) completeRound(ctx *sim.Context, c *talkConn) {
 	ctx.Charge(tk.cfg.CyclesPerRound / 2)
-	if c.timer != nil {
-		c.timer.Stop()
-		c.timer = nil
-	}
+	ctx.StopTimer(&c.timer)
 	if c.bad {
 		tk.stats.Mismatches++
 	}
@@ -377,10 +374,7 @@ func (tk *Talker) connError(ctx *sim.Context, c *talkConn) {
 	}
 	c.done = true
 	tk.stats.Errors++
-	if c.timer != nil {
-		c.timer.Stop()
-		c.timer = nil
-	}
+	ctx.StopTimer(&c.timer)
 	if c.sock.State() == socketlib.SockOpen {
 		c.sock.Abort(ctx)
 	}

@@ -87,7 +87,8 @@ type lgConn struct {
 	bodySeen   int  // body bytes already consumed of the current response
 	closeAfter bool // server announced Connection: close on this response
 	reqStart   sim.Time
-	timer      *sim.Timer
+	// timer is the request timeout, re-armed in place for every request.
+	timer sim.Timer
 	// windowResponses counts replies during the measuring window for
 	// httperf-style discarding on error.
 	windowResponses uint64
@@ -229,7 +230,7 @@ func (lg *Loadgen) sendRequest(ctx *sim.Context, c *lgConn) {
 	c.reqStart = ctx.Sim.Now()
 	c.expect = -1
 	c.sock.SendRef(ctx, lg.arena.AllocString(req))
-	c.timer = ctx.TimerAfter(lg.cfg.Timeout, lgTimeout{c: c, gen: c.gen})
+	ctx.Retimer(&c.timer, lg.cfg.Timeout, lgTimeout{c: c, gen: c.gen})
 }
 
 // onData consumes response bytes, completing requests as bodies fill.
@@ -308,10 +309,7 @@ func (lg *Loadgen) onData(ctx *sim.Context, c *lgConn, data []byte, eof bool) {
 // completeResponse accounts one successful reply.
 func (lg *Loadgen) completeResponse(ctx *sim.Context, c *lgConn, bodyBytes int) {
 	ctx.Charge(lg.cfg.CyclesPerRequest / 2)
-	if c.timer != nil {
-		c.timer.Stop()
-		c.timer = nil
-	}
+	ctx.StopTimer(&c.timer)
 	lg.stats.ResponsesOK++
 	lg.stats.BytesIn += uint64(bodyBytes)
 	if lg.measuring {
@@ -333,10 +331,7 @@ func (lg *Loadgen) connError(ctx *sim.Context, c *lgConn, timeout bool) {
 	if lg.measuring {
 		lg.stats.WindowDiscarded += c.windowResponses
 	}
-	if c.timer != nil {
-		c.timer.Stop()
-		c.timer = nil
-	}
+	ctx.StopTimer(&c.timer)
 	if c.sock.State() == socketlib.SockOpen {
 		c.sock.Abort(ctx)
 	}

@@ -352,7 +352,7 @@ func (h *kernelHost) ArmTimer(c *tcpeng.Conn, k tcpeng.TimerKind, d sim.Time) {
 
 // StopTimer implements tcpeng.Env.
 func (h *kernelHost) StopTimer(c *tcpeng.Conn, k tcpeng.TimerKind) {
-	c.Timers[k].Stop()
+	h.ctx.StopTimer(&c.Timers[k].Timer)
 }
 
 // Accepted implements tcpeng.Env: contended accept from the single shared

@@ -418,6 +418,7 @@ func (b *Bed) Registry() *metrics.Registry {
 	r.SetCounter("sim.timers.cascades", ts.Cascades)
 	r.SetCounter("sim.timers.fired", ts.Fired)
 	r.SetCounter("sim.timers.stale", ts.Stale)
+	r.SetCounter("sim.timers.cancelled", ts.Cancelled)
 	is := b.Net.Sim.IPCStats()
 	r.SetCounter("sim.ipc.sends", is.Sends)
 	r.SetCounter("sim.ipc.slow_path", is.SlowPath)

@@ -117,7 +117,7 @@ func (h *connHost) ArmTimer(c *tcpeng.Conn, k tcpeng.TimerKind, d sim.Time) {
 }
 
 func (h *connHost) StopTimer(c *tcpeng.Conn, k tcpeng.TimerKind) {
-	c.Timers[k].Stop()
+	h.ctx.StopTimer(&c.Timers[k].Timer)
 }
 
 func (h *connHost) Accepted(c *tcpeng.Conn) {
@@ -240,9 +240,9 @@ func connScaleRun(seed int64, conns, pdesWorkers int, backend sim.TimerBackend) 
 		at += stagger
 	}
 
-	// Horizon: storm end + handshake drain + one client RTO, so the lazily
-	// stopped handshake rexmit timers have all popped (stale) and the only
-	// resident timers are the servers' idle guards.
+	// Horizon: storm end + handshake drain + one client RTO, so every
+	// handshake has completed and the only resident timers are the servers'
+	// idle guards (stopped rexmit timers leave the wheel at once).
 	s.RunUntil(at + 200*sim.Millisecond)
 
 	runtime.GC()

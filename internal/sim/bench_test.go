@@ -56,19 +56,22 @@ func BenchmarkTimerWheelParkedSlot(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			deadline := func() Time { return Time(rng.Int63n(cur << bucketShift)) }
 			seq := uint64(0)
+			timers := make([]Timer, n+1)
 			for i := 0; i < n; i++ {
 				seq++
-				w.insert(deadline(), seq, 0, nil, 0, nil, nil)
+				w.insert(deadline(), seq, 0, &timers[i], nil, nil)
 			}
+			free := &timers[n] // the popped entry's timer arms the next insert
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				seq++
-				w.insert(deadline(), seq, 0, nil, 0, nil, nil)
+				w.insert(deadline(), seq, 0, free, nil, nil)
 				if _, _, ok := w.peek(); !ok {
 					b.Fatal("empty wheel")
 				}
-				w.pop()
+				_, e := w.pop()
+				free = e.t
 			}
 		})
 	}

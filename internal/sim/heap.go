@@ -2,10 +2,12 @@ package sim
 
 // key orders one pending item of the event queue or the timer wheel and
 // locates its payload in the owner's slab. Items order by (at, seq, ord):
-// seq is stamped once per scheduled event or flushed run of timer arms, and
-// ord numbers the arms within one run (it stays 0 for events), so keys are
-// unique and every heap below pops in exactly sorted order — the containers'
-// layout never shows in the simulation's output.
+// seq is stamped once per scheduled event or flushed run of timer arms (a
+// local sequence number in the seqLocal class, or a wire arrival's
+// canonical stamp below it), and ord numbers the arms within one run (it
+// stays 0 for events), so keys are unique and every heap below pops in
+// exactly sorted order — the containers' layout never shows in the
+// simulation's output.
 //
 // Keys hold no pointers: a heap sift moves 24 bytes with no write barrier,
 // and the garbage collector never scans bucket or slot storage.

@@ -21,11 +21,19 @@ package sim
 // Determinism: each domain's execution depends only on its own queue, RNG
 // and the barrier-flushed mailbox contents — all of which are independent
 // of the worker count — so a run with N workers is byte-identical to the
-// same run with 1 worker. The sequential (non-PDES) mode is a different
-// schedule: it interleaves shared-RNG draws and event sequence numbers
-// globally, which no parallel execution can reproduce, so the determinism
-// oracle for PDES is workers=1 vs workers=N, and the sequential mode keeps
-// its own md5-pinned oracles.
+// same run with 1 worker.
+//
+// Against the sequential (non-PDES) mode, two things could differ. Shared
+// RNG draws are one: the sequential mode interleaves them globally, which
+// no parallel execution can reproduce. Event order is the other, and it no
+// longer differs. Within one domain, local events keep the same relative
+// order on both engines. Wire arrivals carry a canonical stamp (link,
+// direction, per-direction counter; see AtEventOrdered) and run ahead of
+// local events of the same instant, whether they were scheduled at send
+// time (sequential) or at a barrier flush (PDES). So a bed that draws no
+// randomness during the run is sequential==PDES by construction. The
+// exception is a control-plane closure tied with a domain event at the
+// same instant: PDES runs the control event first.
 
 import (
 	"math/rand"

@@ -398,19 +398,16 @@ func (p *Proc) runDispatch() {
 			break
 		}
 		if tf, ok := msg.(*timerFire); ok {
-			stale := tf.gen != tf.t.gen
+			stale := tf.stale()
 			if !stale {
 				tf.t.fired = true
 			}
 			msg = tf.msg
-			// The box has served its one delivery; recycle it. Boxes that
-			// never reach this point (crashed process, injected drop) simply
-			// fall to the garbage collector.
-			*tf = timerFire{}
-			p.sim.tfFree = append(p.sim.tfFree, tf)
+			p.sim.freeTimerFire(tf)
 			if stale {
+				// Stopped or re-armed while the firing waited in the inbox.
 				p.sim.tw.stale++
-				continue // stopped or re-armed since this firing was scheduled
+				continue
 			}
 		}
 		if hb, ok := msg.(HeartbeatPing); ok {
@@ -620,18 +617,28 @@ func (c *Context) SendDelayed(dst *Proc, msg Message, delay Time) {
 }
 
 // Timer is a cancellable self-delivery armed by a handler. A Timer can be
-// re-armed with Retimer, in which case any firing already in flight is
-// dropped (it carries a stale generation).
+// re-armed with Retimer or cancelled with StopTimer; either takes the
+// pending arming out of the timer wheel, and a firing already in the inbox
+// is dropped at dispatch (it carries a stale generation).
 type Timer struct {
-	gen   uint64 // bumped by Stop and Retimer; stale firings are dropped
+	gen   uint64 // bumped by StopTimer and Retimer; stale firings are dropped
+	ent   uint32 // 1 + slab index of the resident wheel entry; 0 when none
 	fired bool
 }
 
-// Stop cancels the timer if it has not fired.
-func (t *Timer) Stop() { t.gen++ }
-
 // Fired reports whether the timer message was delivered.
 func (t *Timer) Fired() bool { return t.fired }
+
+// StopTimer cancels t if it has not fired. A timer is stopped through the
+// context of a process on the machine that armed it: that is how the stop
+// reaches the wheel holding the timer's entry without a pointer in every
+// Timer.
+func (c *Context) StopTimer(t *Timer) {
+	if t.ent != 0 {
+		c.Proc.sim.tw.cancel(t)
+	}
+	t.gen++
+}
 
 // TimerAfter delivers msg back to the calling process d after the current
 // dispatch completes, unless stopped.
@@ -643,9 +650,10 @@ func (c *Context) TimerAfter(d Time, msg Message) *Timer {
 
 // Retimer re-arms t to deliver msg d after the current dispatch completes,
 // cancelling any previous arming. Hot paths (TCP retransmission, delayed
-// ACK) reuse one Timer per logical timer instead of allocating on every arm.
+// ACK, request timeouts) reuse one Timer per logical timer instead of
+// allocating on every arm.
 func (c *Context) Retimer(t *Timer, d Time, msg Message) {
-	t.gen++
+	c.StopTimer(t)
 	t.fired = false
 	p := c.Proc
 	if p.sim.timerBackend == TimerBackendEvent {
@@ -671,6 +679,10 @@ type timerFire struct {
 	msg Message
 }
 
+// stale reports whether the timer was stopped or re-armed since this
+// firing was boxed.
+func (tf *timerFire) stale() bool { return tf.gen != tf.t.gen }
+
 func (s *Simulator) newTimerFire(t *Timer, gen uint64, msg Message) *timerFire {
 	if n := len(s.tfFree); n > 0 {
 		tf := s.tfFree[n-1]
@@ -679,4 +691,12 @@ func (s *Simulator) newTimerFire(t *Timer, gen uint64, msg Message) *timerFire {
 		return tf
 	}
 	return &timerFire{t, gen, msg}
+}
+
+// freeTimerFire recycles a box that has served its one delivery. Boxes
+// that never get here (crashed process, injected drop) simply fall to the
+// garbage collector.
+func (s *Simulator) freeTimerFire(tf *timerFire) {
+	*tf = timerFire{}
+	s.tfFree = append(s.tfFree, tf)
 }

@@ -6,14 +6,14 @@
 // passing with explicit cost, exactly mirroring the paper's execution model.
 //
 // The simulation is single-threaded and fully deterministic: events are
-// ordered by (time, sequence) and all randomness flows from one seeded
+// ordered by (time, sequence) — wire arrivals by a canonical stamp ahead
+// of local sequence numbers — and all randomness flows from one seeded
 // source. Running the same experiment twice yields identical results.
 // An opt-in conservative parallel mode (EnablePDES; see pdes.go) splits the
 // run into per-machine event-queue domains advanced in lookahead-bounded
-// windows; it trades the sequential mode's global event order for
-// machine-local determinism (per-domain RNG streams and sequence counters),
-// so its results are reproducible across any worker count but not
-// byte-identical to the sequential mode.
+// windows. Its results are reproducible across any worker count; they
+// match the sequential mode wherever the run draws no randomness, since
+// per-domain RNG streams replace the global one (see pdes.go).
 //
 // The event queue is a calendar queue (timing wheel): near-future events
 // live in fixed time buckets whose storage is recycled run after run, and
@@ -30,6 +30,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -291,6 +292,10 @@ type Simulator struct {
 
 	crashWatchers []func(*Proc, error)
 
+	// channels numbers the channels created by NewChannelID (on the
+	// control plane).
+	channels atomic.Uint32
+
 	// tracer is the installed observability hook, or nil (the default:
 	// every trace point reduces to one nil check).
 	tracer Tracer
@@ -298,9 +303,9 @@ type Simulator struct {
 	// batchFree recycles msgBatch carriers (and their message slices) so
 	// steady-state batched delivery allocates nothing.
 	batchFree []*msgBatch
-	// tfFree recycles timerFire boxes between arm and firing for the same
-	// reason. Boxes that die in flight (crash, drop injection) are simply
-	// collected; the freelist only ever shrinks by reuse.
+	// tfFree recycles timerFire boxes between firing and dispatch for the
+	// same reason. Boxes that die in flight (crash, drop injection) are
+	// simply collected; the freelist only ever shrinks by reuse.
 	tfFree []*timerFire
 
 	// tw holds armed timers outside the event queue (see timerwheel.go);
@@ -385,8 +390,23 @@ func (s *Simulator) SetTracer(t Tracer) {
 // Tracer returns the installed observability hook, or nil.
 func (s *Simulator) Tracer() Tracer { return s.tracer }
 
+// seqLocal is the order class of locally sequenced work. A key's seq is
+// either a local sequence number with this bit set or, for wire arrivals,
+// a canonical stamp below it (AtEventOrdered): at one instant every
+// stamped arrival runs before any local event, in stamp order, whichever
+// engine scheduled it and whenever it was scheduled.
+const seqLocal = 1 << 63
+
+// nextSeq stamps the next locally sequenced event or flushed timer run.
+func (s *Simulator) nextSeq() uint64 {
+	s.seq++
+	return s.seq | seqLocal
+}
+
 // schedule clamps t to now, stamps the sequence number and enqueues.
-func (s *Simulator) schedule(t Time, e event) {
+func (s *Simulator) schedule(t Time, e event) { s.enqueue(t, s.nextSeq(), e) }
+
+func (s *Simulator) enqueue(t Time, seq uint64, e event) {
 	if s.pdes != nil && s.parent == nil && s.pdes.inWindow.Load() {
 		// Domain code must never schedule on the control plane while
 		// windows execute concurrently: the control queue is only touched
@@ -396,8 +416,7 @@ func (s *Simulator) schedule(t Time, e event) {
 	if t < s.now {
 		t = s.now
 	}
-	s.seq++
-	s.q.push(t, s.seq, e)
+	s.q.push(t, seq, e)
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past is an
@@ -419,6 +438,26 @@ func (s *Simulator) AfterEvent(d Time, h EventHandler, tag uint64) {
 	s.AtEvent(s.now+d, h, tag)
 }
 
+// AtEventOrdered schedules h.OnEvent(tag) at absolute time t under a
+// canonical stamp instead of the local sequence: it runs before every
+// locally sequenced event of the same instant, and same-instant stamped
+// events run in stamp order. A cross-domain channel (the wire) stamps each
+// arrival from its own identity and counters, so the order of simultaneous
+// arrivals does not depend on when, or on which engine, they were
+// scheduled. Stamps must be unique and below 1<<63.
+func (s *Simulator) AtEventOrdered(t Time, stamp uint64, h EventHandler, tag uint64) {
+	if stamp&seqLocal != 0 {
+		panic("sim: ordered-event stamp out of range")
+	}
+	s.enqueue(t, stamp, event{kind: evHandler, h: h, tag: tag})
+}
+
+// NewChannelID returns a fresh identifier for a channel that stamps its
+// deliveries with AtEventOrdered. Identifiers are numbered per simulation,
+// from the control plane in PDES mode, so a topology built in the same
+// order gets the same identifiers on every engine.
+func (s *Simulator) NewChannelID() uint32 { return s.rootSim().channels.Add(1) }
+
 // DeliverAt delivers msg to p at absolute time t without allocating a
 // closure. It is the scheduled-delivery primitive behind NIC interrupts
 // and delayed IPC.
@@ -436,7 +475,7 @@ func (s *Simulator) run(at Time, e event) {
 	case evDispatch:
 		e.proc.runDispatch()
 	case evDeliver:
-		e.proc.Deliver(e.msg)
+		s.deliver(e.proc, e.msg)
 	case evHandler:
 		e.h.OnEvent(e.tag)
 	case evDeliverBatch:
@@ -448,7 +487,7 @@ func (s *Simulator) run(at Time, e event) {
 		// Deliveries land in slice order, exactly the order the sends
 		// were buffered, whatever their targets.
 		for i, m := range b.msgs {
-			b.dsts[i].Deliver(m)
+			s.deliver(b.dsts[i], m)
 			b.msgs[i] = nil
 			b.dsts[i] = nil
 		}
@@ -456,6 +495,21 @@ func (s *Simulator) run(at Time, e event) {
 		b.dsts = b.dsts[:0]
 		s.batchFree = append(s.batchFree, b)
 	}
+}
+
+// deliver hands one scheduled message to p. The legacy event backend boxes
+// a timer firing when it is armed; if the timer was stopped or re-armed
+// since, the box is discarded here, before it can wake p — the same
+// outcome as a cancelled wheel entry, which never fires, so both backends
+// charge the same cycles. A discarded firing is not counted as an event.
+func (s *Simulator) deliver(p *Proc, m Message) {
+	if tf, ok := m.(*timerFire); ok && tf.stale() {
+		s.freeTimerFire(tf)
+		s.tw.cancelled++
+		s.eventsRun--
+		return
+	}
+	p.Deliver(m)
 }
 
 // Idle reports whether no events remain. On a PDES control plane this

@@ -224,6 +224,8 @@ func TestTimerFireAndCancel(t *testing.T) {
 			case "arm":
 				ctx.TimerAfter(100, "t1")
 				cancel = ctx.TimerAfter(200, "t2")
+			case "cancel":
+				ctx.StopTimer(cancel)
 			case "t1", "t2":
 				fired = append(fired, v)
 			}
@@ -231,7 +233,7 @@ func TestTimerFireAndCancel(t *testing.T) {
 	}), ProcConfig{})
 	p.Deliver("arm")
 	s.RunUntil(150)
-	cancel.Stop()
+	p.Deliver("cancel")
 	s.Drain()
 	if len(fired) != 1 || fired[0] != "t1" {
 		t.Fatalf("fired=%v, want [t1]", fired)

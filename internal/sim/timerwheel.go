@@ -27,11 +27,15 @@ import "math/bits"
 // scheduled message, so drop injection, dead-process drops and trace stamps
 // behave identically to the event path.
 //
-// Stops are lazy: Timer.Stop only bumps the generation, and the entry stays
-// resident until its deadline, when it pops and is dropped as stale by the
-// dispatch unwrap — the same observable lifecycle a stale in-flight event
-// had. Pending counts therefore include stale entries, just as the event
-// queue's length did.
+// Cancellation is eager: StopTimer and Retimer take the timer's entry out of
+// the wheel, so only live timers are resident and only live firings reach
+// Proc.Deliver — a cancelled timer never wakes its process. Each entry
+// records where its key sits. A key in an unordered L1/L2 slot is
+// swap-removed in O(1). A key inside a heap (an L0 slot or the overflow
+// heap) cannot leave without a search, so its entry becomes a tombstone:
+// the payload's references are dropped at once, and the key is discarded
+// silently when it reaches the heap root — never counted as a firing or an
+// event, never delivered. Pending counts live timers only.
 //
 // Geometry. Level 0 shares the calendar queue's 4096 ns bucket and spans
 // ~4.2 ms; each higher level covers twSlots slots of the one below (L1
@@ -48,39 +52,52 @@ const (
 
 // twEntry is the payload of one armed timer; its key in the wheel carries
 // the deadline and order. Entries live in a recycled slab, so arming in
-// steady state allocates nothing.
+// steady state allocates nothing. A resident entry is always its timer's
+// current arming (cancellation removes it), so the firing generation is
+// read from the timer when the entry pops. level, slot and pos locate the
+// entry's key for cancellation; t is nil on a tombstone.
 type twEntry struct {
-	t    *Timer
-	gen  uint64
-	msg  Message
-	proc *Proc
+	t     *Timer
+	msg   Message
+	proc  *Proc
+	pos   uint32 // index of the key inside an unordered L1/L2 slot
+	slot  uint16 // L1/L2 slot holding the key
+	level uint8  // 0..2, or twFar for the overflow heap
 }
+
+// twFar is the level recorded for entries in the overflow heap.
+const twFar = twLevels
 
 type timerWheel struct {
 	// slots hold keys; level-0 slots are heaps, higher levels unordered
 	// (a cascade re-places every key anyway).
 	slots  [twLevels][twSlots]keyHeap
 	occ    [twLevels][twSlots / 64]uint64
-	counts [twLevels]int
-	cur    int64   // monotonic L0 bucket counter; L0 horizon is [cur, cur+twSlots)
-	far    keyHeap // entries beyond the L2 horizon
+	counts [twLevels]int // keys per level, tombstones included
+	cur    int64         // monotonic L0 bucket counter; L0 horizon is [cur, cur+twSlots)
+	far    keyHeap       // entries beyond the L2 horizon
 	ents   slab[twEntry]
+	dead   int // tombstones still keyed in an L0 slot or the overflow heap
 
-	cascaded uint64 // entries scattered down a level by lazy cascade
-	fired    uint64 // entries popped for delivery (including stale ones)
-	stale    uint64 // firings dropped at dispatch (either backend)
+	cascaded  uint64 // entries scattered down a level by lazy cascade
+	fired     uint64 // live entries popped for delivery
+	stale     uint64 // firings dropped at dispatch (either backend)
+	cancelled uint64 // arms cancelled before their firing was scheduled
 }
 
+// pending counts live timers: resident keys minus tombstones.
 func (w *timerWheel) pending() int {
-	return w.counts[0] + w.counts[1] + w.counts[2] + len(w.far)
+	return w.counts[0] + w.counts[1] + w.counts[2] + len(w.far) - w.dead
 }
 
 func (w *timerWheel) empty() bool { return w.pending() == 0 }
 
-// insert arms one entry. seq is shared by every arm of one flushed run;
-// ord, the arm's position within the run, disambiguates within it.
-func (w *timerWheel) insert(at Time, seq uint64, ord uint32, t *Timer, gen uint64, msg Message, p *Proc) {
-	idx := w.ents.put(twEntry{t: t, gen: gen, msg: msg, proc: p})
+// insert arms one entry for t and records it in t. seq is shared by every
+// arm of one flushed run; ord, the arm's position within the run,
+// disambiguates within it.
+func (w *timerWheel) insert(at Time, seq uint64, ord uint32, t *Timer, msg Message, p *Proc) {
+	idx := w.ents.put(twEntry{t: t, msg: msg, proc: p})
+	t.ent = idx + 1
 	w.place(key{at: at, seq: seq, ord: ord, idx: idx})
 }
 
@@ -110,17 +127,52 @@ func (w *timerWheel) place(k key) {
 		w.put(2, b2&twSlotMask, k)
 		return
 	}
+	w.ents.items[k.idx].level = twFar
 	w.far.push(k)
 }
 
 func (w *timerWheel) put(level int, slot int64, k key) {
+	e := &w.ents.items[k.idx]
+	e.level = uint8(level)
 	if level == 0 {
 		w.slots[0][slot].push(k)
 	} else {
+		e.slot = uint16(slot)
+		e.pos = uint32(len(w.slots[level][slot]))
 		w.slots[level][slot] = append(w.slots[level][slot], k)
 	}
 	w.occ[level][slot>>6] |= 1 << uint(slot&63)
 	w.counts[level]++
+}
+
+// cancel takes t's resident entry out of the wheel. An L1/L2 key is
+// swap-removed and its slab slot freed; a heap-resident key stays behind a
+// tombstone until it reaches its heap's root.
+func (w *timerWheel) cancel(t *Timer) {
+	idx := t.ent - 1
+	t.ent = 0
+	e := &w.ents.items[idx]
+	if e.t != t {
+		panic("sim: timer stopped outside the domain that armed it")
+	}
+	w.cancelled++
+	level := int(e.level)
+	if level == 0 || level == twFar {
+		*e = twEntry{level: e.level}
+		w.dead++
+		return
+	}
+	slot, pos := int64(e.slot), e.pos
+	b := w.slots[level][slot]
+	last := len(b) - 1
+	b[pos] = b[last]
+	w.ents.items[b[pos].idx].pos = pos
+	w.slots[level][slot] = b[:last]
+	if last == 0 {
+		w.occ[level][slot>>6] &^= 1 << uint(slot&63)
+	}
+	w.counts[level]--
+	w.ents.take(idx)
 }
 
 // firstSlot returns the first occupied slot of level at or after from,
@@ -143,7 +195,7 @@ func (w *timerWheel) firstSlot(level int, from int64) int64 {
 
 // cascade scatters one higher-level slot down through place. Runs when the
 // wheel position enters the slot's range, so every entry lands at or after
-// the current position.
+// the current position. Higher levels hold no tombstones.
 func (w *timerWheel) cascade(level int, slot int64) {
 	b := w.slots[level][slot]
 	if len(b) == 0 {
@@ -158,17 +210,24 @@ func (w *timerWheel) cascade(level int, slot int64) {
 	}
 }
 
-// migrateFar pulls overflow entries that now fit the L2 horizon.
+// migrateFar pulls overflow entries that now fit the L2 horizon, discarding
+// tombstones on the way.
 func (w *timerWheel) migrateFar() {
 	cur2 := w.cur >> (2 * twSlotBits)
 	for len(w.far) > 0 && int64(w.far[0].at)>>(bucketShift+2*twSlotBits)-cur2 < twSlots {
-		w.place(w.far.pop())
+		k := w.far.pop()
+		if w.ents.items[k.idx].t == nil {
+			w.ents.take(k.idx)
+			w.dead--
+			continue
+		}
+		w.place(k)
 	}
 }
 
 // settle advances the wheel position — cascading higher-level slots as their
-// boundaries are crossed — until the earliest resident entry sits in the
-// current L0 slot. Reports false when the wheel holds nothing at all.
+// boundaries are crossed — until the earliest resident key sits in the
+// current L0 slot. Reports false when the wheel holds no key at all.
 func (w *timerWheel) settle() bool {
 	for {
 		if w.counts[0] > 0 {
@@ -203,30 +262,41 @@ func (w *timerWheel) settle() bool {
 	}
 }
 
-// peek returns the earliest pending (at, seq) without removing it, settling
-// cascades as needed: the root of the current L0 slot's heap.
+// peek returns the earliest live (at, seq) without removing it, settling
+// cascades as needed: the root of the current L0 slot's heap. Tombstones
+// met at the root are discarded on the way.
 func (w *timerWheel) peek() (Time, uint64, bool) {
-	if !w.settle() {
-		return 0, 0, false
+	for w.pending() > 0 && w.settle() { // settle leaves cur at the first occupied slot
+		slot := w.cur & twSlotMask
+		k := &w.slots[0][slot][0]
+		if w.ents.items[k.idx].t != nil {
+			return k.at, k.seq, true
+		}
+		w.ents.take(w.popSlot(slot).idx)
+		w.dead--
 	}
-	e := &w.slots[0][w.cur&twSlotMask][0] // settle leaves cur at the first occupied slot
-	return e.at, e.seq, true
+	return 0, 0, false
 }
 
-// pop removes the earliest entry and returns its deadline and payload.
-// Callers peek first, which leaves settle nothing to do here.
-func (w *timerWheel) pop() (Time, twEntry) {
-	if !w.settle() {
-		panic("sim: pop from an empty timer wheel")
-	}
-	slot := w.cur & twSlotMask
+// popSlot removes the root key of L0 slot.
+func (w *timerWheel) popSlot(slot int64) key {
 	k := w.slots[0][slot].pop()
 	if len(w.slots[0][slot]) == 0 {
 		w.occ[0][slot>>6] &^= 1 << uint(slot&63)
 	}
 	w.counts[0]--
+	return k
+}
+
+// pop removes the earliest live entry and returns its deadline and
+// payload. Callers peek first, which leaves a live key at the current
+// slot's root.
+func (w *timerWheel) pop() (Time, twEntry) {
+	k := w.popSlot(w.cur & twSlotMask)
 	w.fired++
-	return k.at, w.ents.take(k.idx)
+	e := w.ents.take(k.idx)
+	e.t.ent = 0
+	return k.at, e
 }
 
 // TimerBackend selects how armed timers are scheduled.
@@ -258,26 +328,32 @@ func (s *Simulator) SetTimerBackend(b TimerBackend) {
 
 // armTimers inserts one flushed run of timer arms sharing a single sequence
 // number, mirroring what a batched delivery of the boxed firings would have
-// consumed on the legacy path.
+// consumed on the legacy path. Arms whose timer was stopped or re-armed
+// before the flush never enter the wheel.
 func (s *Simulator) armTimers(at Time, arms []outMsg) {
 	if at < s.now {
 		at = s.now
 	}
-	s.seq++
+	seq := s.nextSeq()
 	for k := range arms {
 		o := &arms[k]
-		s.tw.insert(at, s.seq, uint32(k), o.timer, o.tgen, o.msg, o.dst)
+		if o.tgen != o.timer.gen {
+			s.tw.cancelled++
+			continue
+		}
+		s.tw.insert(at, seq, uint32(k), o.timer, o.msg, o.dst)
 	}
 }
 
 // fireTimer delivers one popped wheel entry. The boxed firing is built only
 // now, from the freelist, and travels through Proc.Deliver exactly like a
 // scheduled delivery event: drop injection, dead-process drops, tracer
-// arrival stamps and wake scheduling all behave identically.
+// arrival stamps and wake scheduling all behave identically. The entry was
+// its timer's current arming, so it fires with the timer's generation.
 func (s *Simulator) fireTimer(at Time, e twEntry) {
 	s.now = at
 	s.eventsRun++
-	e.proc.Deliver(s.newTimerFire(e.t, e.gen, e.msg))
+	e.proc.Deliver(s.newTimerFire(e.t, e.t.gen, e.msg))
 }
 
 // stepNext runs the earliest of the event-queue head and the timer-wheel
@@ -331,29 +407,38 @@ func (s *Simulator) peekTime() (Time, bool) {
 // work of its own.
 func (s *Simulator) idleLocal() bool { return s.q.empty() && s.tw.empty() }
 
-// TimerStats reports timer-wheel counters: entries resident (including
-// lazily-stopped ones awaiting their deadline), entries scattered down a
-// level by cascades, entries popped for delivery, and firings dropped at
-// dispatch because their timer was stopped or re-armed after arming. Fired
-// counts wheel pops only, live and stale alike; Stale is counted on either
-// backend. On a PDES control plane it totals across all domains; call it only
+// TimerStats reports timer-wheel counters. Pending is the number of live
+// armed timers resident in the wheel (cancelled ones leave at once).
+// Cascades counts entries scattered down a level, Fired live entries popped
+// for delivery. Cancelled counts arms cancelled by Stop or Retimer before
+// their firing was delivered: wheel entries removed, arms superseded before
+// their flush, and — on the legacy event backend — boxed firings discarded
+// when their event pops. Stale counts firings dropped at dispatch because
+// their timer was stopped or re-armed while the firing sat in the inbox. On
+// a PDES control plane the counters total across all domains; call it only
 // at a barrier.
 type TimerStats struct {
-	Pending  int
-	Cascades uint64
-	Fired    uint64
-	Stale    uint64
+	Pending   int
+	Cascades  uint64
+	Fired     uint64
+	Stale     uint64
+	Cancelled uint64
 }
 
 // TimerStats returns the simulator's timer-wheel counters.
 func (s *Simulator) TimerStats() TimerStats {
-	st := TimerStats{Pending: s.tw.pending(), Cascades: s.tw.cascaded, Fired: s.tw.fired, Stale: s.tw.stale}
+	var st TimerStats
+	add := func(w *timerWheel) {
+		st.Pending += w.pending()
+		st.Cascades += w.cascaded
+		st.Fired += w.fired
+		st.Stale += w.stale
+		st.Cancelled += w.cancelled
+	}
+	add(&s.tw)
 	if s.pdes != nil && s.parent == nil {
 		for _, d := range s.pdes.domains {
-			st.Pending += d.tw.pending()
-			st.Cascades += d.tw.cascaded
-			st.Fired += d.tw.fired
-			st.Stale += d.tw.stale
+			add(&d.tw)
 		}
 	}
 	return st

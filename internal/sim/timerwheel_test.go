@@ -5,13 +5,15 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // Property test: under a seeded random workload of arm / stop / re-arm
 // operations — including reactions taken from inside timer fires — the
 // hierarchical timer wheel delivers exactly the same firing sequence as the
 // reference per-event scheduler (TimerBackendEvent, the calendar-queue path
-// every release before the wheel used). Same-tick ordering by (deadline,
+// every release before the wheel used), and charges the process exactly the
+// same dispatches, halts and cycles. Same-tick ordering by (deadline,
 // arm-seq) is covered implicitly: any divergence reorders the trace.
 
 type twArm struct {
@@ -22,9 +24,12 @@ type twArm struct {
 type twStop struct{ id int }
 
 // timerTrace runs one backend over the script and returns the sequence of
-// timer firings as "id@time" strings. The reaction RNG draws in fire order,
-// so a single divergence amplifies into a visibly different trace.
-func timerTrace(backend TimerBackend, script []Message, reseed int64) []string {
+// timer firings as "id@time" strings, plus the process's statistics. The
+// reaction RNG draws in fire order, so a single divergence amplifies into a
+// visibly different trace. Wakes and halts are charged, so a backend that
+// woke the process for a cancelled timer would show in the statistics even
+// with an identical trace.
+func timerTrace(backend TimerBackend, script []Message, reseed int64) ([]string, ProcStats) {
 	s := New(7)
 	s.SetTimerBackend(backend)
 	m := NewMachine(s, "m", 1, 1, 1_000_000_000)
@@ -37,7 +42,7 @@ func timerTrace(backend TimerBackend, script []Message, reseed int64) []string {
 		case twArm:
 			ctx.Retimer(&timers[op.id], op.delay, op.id)
 		case twStop:
-			timers[op.id].Stop()
+			ctx.StopTimer(&timers[op.id])
 		case int:
 			trace = append(trace, fmt.Sprintf("%d@%d", op, s.Now()))
 			switch rng.Intn(4) {
@@ -47,16 +52,16 @@ func timerTrace(backend TimerBackend, script []Message, reseed int64) []string {
 				j := rng.Intn(len(timers))
 				ctx.Retimer(&timers[j], Time(rng.Int63n(int64(7200*Second))), j)
 			case 2: // stop a sibling (possibly not armed)
-				timers[rng.Intn(len(timers))].Stop()
+				ctx.StopTimer(&timers[rng.Intn(len(timers))])
 			}
 		}
-	}), ProcConfig{})
+	}), ProcConfig{WakeCycles: 50, HaltCycles: 30})
 	for i, op := range script {
 		op := op
 		s.At(Time(i)*50*Microsecond, func() { p.Deliver(op) })
 	}
 	s.RunUntil(30 * Second)
-	return trace
+	return trace, p.Stats()
 }
 
 func TestTimerWheelMatchesReferenceScheduler(t *testing.T) {
@@ -75,8 +80,12 @@ func TestTimerWheelMatchesReferenceScheduler(t *testing.T) {
 					id: rng.Intn(64), delay: Time(rng.Int63n(int64(200 * Millisecond)))})
 			}
 		}
-		wheel := timerTrace(TimerBackendWheel, script, seed)
-		ref := timerTrace(TimerBackendEvent, script, seed)
+		wheel, wst := timerTrace(TimerBackendWheel, script, seed)
+		ref, rst := timerTrace(TimerBackendEvent, script, seed)
+		if wst.Dispatches != rst.Dispatches || wst.Halts != rst.Halts || wst.TotalCharged != rst.TotalCharged {
+			t.Fatalf("seed %d: charges differ: wheel dispatches/halts/cycles=%d/%d/%d ref=%d/%d/%d",
+				seed, wst.Dispatches, wst.Halts, wst.TotalCharged, rst.Dispatches, rst.Halts, rst.TotalCharged)
+		}
 		if len(wheel) == 0 {
 			t.Fatalf("seed %d: empty trace (script did not fire)", seed)
 		}
@@ -103,15 +112,17 @@ func TestTimerWheelMatchesReferenceScheduler(t *testing.T) {
 // period is a power-of-two multiple of the slot width) so every arm lands on
 // a slot residue already visited during warmup; a drifting workload would
 // instead measure the one-time cost of cold calendar slots, which amortizes
-// to zero but never exactly reaches it.
+// to zero but never exactly reaches it. The cancellations cover all three
+// ways an arming leaves: a tombstone in an L0 heap, a swap-remove from an
+// L1 slot, and a skip at the flush.
 func TestTimerArmStopZeroAlloc(t *testing.T) {
-	const (
-		period  = Time(1 << 21) // ~2.1 ms: half an L0 wrap, exact slot multiple
-		scratch = Time(1 << 20) // lazy-stopped arm, pops stale within the period
-	)
+	const period = Time(1 << 21) // ~2.1 ms: half an L0 wrap, exact slot multiple
 	s := New(1)
 	m := NewMachine(s, "m", 1, 1, 1_000_000_000)
-	var timers [8]Timer // 0..3 periodic, 4..7 scratch (armed then stopped)
+	// 0..3 periodic; 4..7 cancelled while keyed in an L0 heap (tombstones);
+	// 8..11 cancelled while in an L1 slot (swap-removed); 12..15 armed and
+	// stopped in one dispatch (skipped at the flush).
+	var timers [16]Timer
 	p := NewProc(m.Thread(0, 0), "p", HandlerFunc(func(ctx *Context, msg Message) {
 		ctx.Charge(10)
 		if msg == Message("kick") {
@@ -121,16 +132,20 @@ func TestTimerArmStopZeroAlloc(t *testing.T) {
 			return
 		}
 		// Timer fire: the tcpeng per-segment pattern — re-arm the long-lived
-		// timer, arm a helper, cancel it again (the lazy stop leaves a stale
-		// entry that is popped and recycled without reaching the handler).
+		// timer and re-arm helpers that never get to fire, each re-arm
+		// cancelling the previous arming wherever it sits.
 		i := msg.(int)
 		ctx.Retimer(&timers[i], period, i)
-		ctx.Retimer(&timers[4+i], scratch, 4+i)
-		timers[4+i].Stop()
+		ctx.Retimer(&timers[4+i], period*3/2, 4+i)
+		ctx.Retimer(&timers[8+i], 3*period, 8+i)
+		ctx.Retimer(&timers[12+i], period/2, 12+i)
+		ctx.StopTimer(&timers[12+i])
 	}), ProcConfig{})
 	p.Deliver("kick")
+	// Warm up over one full L1 wrap (~4.3 s), so every L1 slot the
+	// swap-removed arms land in has been visited once.
 	cursor := Time(0)
-	for i := 0; i < 64; i++ {
+	for cursor < Time(twSlots*twSlots)<<bucketShift+64*period {
 		cursor += period
 		s.RunUntil(cursor)
 	}
@@ -140,6 +155,9 @@ func TestTimerArmStopZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("timer arm/stop/fire cycle allocates %.1f allocs/op, want 0", allocs)
+	}
+	if ts := s.TimerStats(); ts.Pending != 12 || ts.Stale != 0 || ts.Cancelled == 0 {
+		t.Fatalf("stats %+v: want 12 live timers resident, cancellations counted, none stale", ts)
 	}
 }
 
@@ -210,11 +228,11 @@ func parkedTrace(backend TimerBackend) (trace []string, parked bool) {
 			for i := base - 24; i < base; i++ {
 				ctx.Retimer(&timers[i], Time(i/6%4)*Microsecond, i)
 				if i%5 == 0 {
-					timers[i].Stop() // stopped before the flush
+					ctx.StopTimer(&timers[i]) // stopped before the flush
 				}
 			}
 			if len(op) == 2 {
-				timers[3].Stop() // stops a timer armed by an earlier message
+				ctx.StopTimer(&timers[3]) // stops a timer armed by an earlier message
 			}
 		case int:
 			trace = append(trace, fmt.Sprintf("%d@%d", op, s.Now()))
@@ -256,10 +274,12 @@ func TestTimerWheelParkedSlotOrder(t *testing.T) {
 	}
 }
 
-// TestTimerStatsStale checks the live/stale split of timer firings on both
-// backends: every cancelled arming — stopped before its flush, stopped while
-// in flight, or superseded by a re-arm — is counted once as stale when its
-// firing reaches dispatch, and live firings are not.
+// TestTimerStatsStale checks the split between cancelled and stale timer
+// firings on both backends. A cancellation made before the deadline —
+// stopped before the flush, stopped while armed, or superseded by a re-arm
+// — counts once as Cancelled and never reaches dispatch, so Stale stays 0.
+// A firing that goes stale inside a busy inbox, queued behind the message
+// that stops its timer, still counts as Stale.
 func TestTimerStatsStale(t *testing.T) {
 	for _, backend := range []TimerBackend{TimerBackendWheel, TimerBackendEvent} {
 		s := New(1)
@@ -272,14 +292,16 @@ func TestTimerStatsStale(t *testing.T) {
 			switch msg {
 			case "arm-stop": // cancelled before the flush
 				ctx.Retimer(&tm, Millisecond, "fire")
-				tm.Stop()
+				ctx.StopTimer(&tm)
 			case "arm":
 				ctx.Retimer(&tm, Millisecond, "fire")
-			case "stop": // cancelled in flight
-				tm.Stop()
+			case "stop": // cancelled while armed
+				ctx.StopTimer(&tm)
 			case "rearm": // the first arming is superseded
 				ctx.Retimer(&tm, Millisecond, "fire")
 				ctx.Retimer(&tm, 2*Millisecond, "fire")
+			case "busy": // 2 ms of work: arrivals meanwhile queue in the inbox
+				ctx.Charge(2_000_000)
 			case "fire":
 				live++
 			}
@@ -296,14 +318,136 @@ func TestTimerStatsStale(t *testing.T) {
 			}
 		}
 		ts := s.TimerStats()
-		if want := uint64(3 * rounds); ts.Stale != want {
-			t.Errorf("backend %d: stale=%d, want %d", backend, ts.Stale, want)
+		if ts.Stale != 0 || ts.Cancelled != 3*rounds {
+			t.Errorf("backend %d: stale=%d cancelled=%d, want 0 and %d", backend, ts.Stale, ts.Cancelled, 3*rounds)
 		}
 		if live != rounds {
 			t.Errorf("backend %d: %d live firings, want %d", backend, live, rounds)
 		}
-		if backend == TimerBackendWheel && ts.Fired != ts.Stale+uint64(live) {
-			t.Errorf("wheel fired=%d, want stale+live=%d", ts.Fired, ts.Stale+uint64(live))
+		if backend == TimerBackendWheel && ts.Fired != uint64(live) {
+			t.Errorf("wheel fired=%d, want only the %d live firings", ts.Fired, live)
 		}
+
+		// The timer fires at ~1.1 ms while "busy" runs; the "stop" delivered
+		// at ~0.5 ms is ahead of the firing in the inbox and handled first.
+		p.Deliver("arm")
+		s.RunFor(100 * Microsecond)
+		p.Deliver("busy")
+		s.At(s.Now()+400*Microsecond, func() { p.Deliver("stop") })
+		s.Drain()
+		ts = s.TimerStats()
+		if ts.Stale != 1 || live != rounds {
+			t.Errorf("backend %d: stale=%d live=%d after a firing queued behind its stop, want 1 and %d",
+				backend, ts.Stale, live, rounds)
+		}
+	}
+}
+
+// TestTimerCancelLeavesWheel checks eager cancellation at every residence:
+// a stop takes the entry out of Pending at once — a tombstone in an L0
+// heap, a swap-remove from an L1 or L2 slot, a tombstone in the overflow
+// heap — a re-arm loop keeps exactly one entry per timer resident, and
+// nothing is delivered after a stop, not even past the deadlines.
+func TestTimerCancelLeavesWheel(t *testing.T) {
+	s := New(1)
+	m := NewMachine(s, "m", 1, 1, 1_000_000_000)
+	delays := []Time{Millisecond, Second, 600 * Second, 3 * 3600 * Second}
+	levels := []uint8{0, 1, 2, twFar}
+	timers := make([]Timer, len(delays))
+	tombs := make([]int, len(delays)) // tombstones left by each timer's stops
+	control := uint64(0)
+	p := NewProc(m.Thread(0, 0), "p", HandlerFunc(func(ctx *Context, msg Message) {
+		ctx.Charge(10)
+		switch op := msg.(type) {
+		case twArm:
+			ctx.Retimer(&timers[op.id], op.delay, op.id)
+		case twStop:
+			dead := s.tw.dead
+			ctx.StopTimer(&timers[op.id])
+			tombs[op.id] += s.tw.dead - dead
+		case func(*Context):
+			op(ctx)
+		case string: // the sentinel's firing
+		default:
+			t.Fatalf("delivered %v after its timer was stopped", msg)
+		}
+	}), ProcConfig{WakeCycles: 50, HaltCycles: 30})
+	send := func(msg Message) {
+		control++
+		p.Deliver(msg)
+		s.RunFor(10 * Microsecond)
+	}
+	armAll := func() {
+		for i, d := range delays {
+			send(twArm{id: i, delay: d})
+		}
+	}
+
+	armAll()
+	for i := range timers {
+		if got := s.tw.ents.items[timers[i].ent-1].level; got != levels[i] {
+			t.Fatalf("timer %d resident at level %d, want %d", i, got, levels[i])
+		}
+	}
+	// Stop the latest first: the wheel position settles onto the earliest
+	// resident entry, so the L0 timer must stay armed to keep the others
+	// at their levels.
+	for i := len(timers) - 1; i >= 0; i-- {
+		send(twStop{id: i})
+		if ts := s.TimerStats(); ts.Pending != i || ts.Cancelled != uint64(len(timers)-i) {
+			t.Fatalf("after stopping timer %d (level %d): %+v, want pending %d", i, levels[i], ts, i)
+		}
+		if timers[i].ent != 0 {
+			t.Fatalf("stopped timer %d still records a wheel entry", i)
+		}
+	}
+	// Heap-resident keys (L0, overflow) leave tombstones; L1/L2 keys leave.
+	if want := []int{1, 0, 0, 1}; !reflect.DeepEqual(tombs, want) {
+		t.Fatalf("tombstones per stop %v, want %v", tombs, want)
+	}
+
+	armAll()
+	for round := 0; round < 50; round++ {
+		armAll() // every re-arm cancels the resident arming first
+		if ts := s.TimerStats(); ts.Pending != len(timers) {
+			t.Fatalf("round %d: pending=%d, want %d", round, ts.Pending, len(timers))
+		}
+	}
+	for i := range timers {
+		send(twStop{id: i})
+	}
+	// A live sentinel beyond every deadline carries the wheel past the
+	// tombstones, which are discarded on the way.
+	var sentinel Timer
+	p.Deliver(func(ctx *Context) { ctx.Retimer(&sentinel, 4*3600*Second, "sentinel") })
+	s.RunUntil(5 * 3600 * Second)
+
+	ts := s.TimerStats()
+	if ts.Pending != 0 || ts.Fired != 1 || ts.Stale != 0 || !sentinel.Fired() {
+		t.Fatalf("after stopping everything and passing every deadline: %+v, want only the sentinel fired", ts)
+	}
+	if want := uint64(len(timers) * 52); ts.Cancelled != want {
+		t.Fatalf("cancelled=%d, want %d", ts.Cancelled, want)
+	}
+	if st := p.Stats(); st.Messages != control+2 {
+		t.Fatalf("%d messages handled, want the %d control messages and the sentinel's arm and firing only",
+			st.Messages, control)
+	}
+	if s.tw.dead != 0 || len(s.tw.ents.free) != len(s.tw.ents.items) {
+		t.Fatalf("tombstones left behind: dead=%d, %d of %d slab slots free",
+			s.tw.dead, len(s.tw.ents.free), len(s.tw.ents.items))
+	}
+}
+
+// TestTimerFootprint pins the per-timer memory: a Timer is embedded in
+// every connection (five per TCP PCB), and a wheel entry exists per armed
+// timer, so growing either shows up directly in bytes per connection at a
+// million connections.
+func TestTimerFootprint(t *testing.T) {
+	if n := unsafe.Sizeof(Timer{}); n != 16 {
+		t.Errorf("sizeof(Timer) = %d, want 16", n)
+	}
+	if n := unsafe.Sizeof(twEntry{}); n != 40 {
+		t.Errorf("sizeof(twEntry) = %d, want 40", n)
 	}
 }

@@ -252,7 +252,7 @@ func (h *tcpHost) ArmTimer(c *tcpeng.Conn, k tcpeng.TimerKind, d sim.Time) {
 
 // StopTimer implements tcpeng.Env.
 func (h *tcpHost) StopTimer(c *tcpeng.Conn, k tcpeng.TimerKind) {
-	c.Timers[k].Stop()
+	h.ctx.StopTimer(&c.Timers[k].Timer)
 }
 
 // Accepted implements tcpeng.Env.

@@ -15,6 +15,14 @@
 // (Lookahead()). Cross-domain deliveries go through per-direction
 // mailboxes flushed into the receiving domain's queue at each coordinator
 // barrier.
+//
+// Every arrival carries a canonical stamp — the link's identifier, the
+// direction and a per-direction arrival counter — and is scheduled with
+// sim.AtEventOrdered, so simultaneous arrivals at one receiver run in
+// stamp order, ahead of the receiver's own events of that instant, no
+// matter when or on which engine they were scheduled. The sequential
+// engine schedules an arrival at send time and PDES at the next barrier;
+// the stamp makes both orders the same.
 package wire
 
 import (
@@ -41,6 +49,10 @@ const MinFrameBytes = 64
 // attached with Attach; each direction has independent serialization state.
 type Link struct {
 	sim *sim.Simulator
+	// id names the link in arrival stamps; sent counts arrivals scheduled
+	// per sending side, in send order.
+	id   uint32
+	sent [2]uint64
 
 	// dom holds each endpoint's scheduling domain. Both default to the
 	// constructing simulator; BindEndpoint rebinds a side to its machine's
@@ -91,13 +103,21 @@ type pendDelivery struct {
 	side  int8
 }
 
-// mboxEntry is one cross-domain frame in flight: its arrival time and
-// payload. Entries are flushed in arrival-time order (stable within equal
-// times, preserving the sender's FIFO order).
+// mboxEntry is one cross-domain frame in flight: its arrival time, stamp
+// and payload. Entries are flushed in arrival-time order (stable within
+// equal times, preserving the sender's FIFO order).
 type mboxEntry struct {
 	at    sim.Time
+	stamp uint64
 	frame []byte
 }
+
+// Arrival stamps pack the link id above the direction bit and a 40-bit
+// per-direction counter; sim.AtEventOrdered needs them below 1<<63.
+const (
+	stampCountBits = 40
+	maxLinks       = 1 << (63 - stampCountBits - 1)
+)
 
 // wireHopName gives each direction a fixed trace-hop name, so the traced
 // path allocates no strings per frame.
@@ -113,7 +133,11 @@ type LinkStats struct {
 
 // NewLink creates a 10 Gb/s link with a 1 µs propagation delay.
 func NewLink(s *sim.Simulator) *Link {
-	return &Link{sim: s, dom: [2]*sim.Simulator{s, s},
+	id := s.NewChannelID()
+	if id >= maxLinks {
+		panic("wire: too many links for the arrival stamp")
+	}
+	return &Link{sim: s, id: id, dom: [2]*sim.Simulator{s, s},
 		BitsPerSec: 10_000_000_000, PropDelay: sim.Microsecond}
 }
 
@@ -250,16 +274,19 @@ func (l *Link) Transmit(side int, frame []byte) {
 	}
 }
 
-// sendOrPark routes one delivery: directly onto the receiver's queue in the
-// sequential (same-domain) case, or into the cross-domain mailbox to be
-// flushed at the next barrier.
+// sendOrPark stamps one delivery and routes it: directly onto the
+// receiver's queue in the sequential (same-domain) case, or into the
+// cross-domain mailbox to be flushed at the next barrier.
 func (l *Link) sendOrPark(at sim.Time, side int, frame []byte) {
+	stamp := uint64(l.id)<<(stampCountBits+1) | uint64(side)<<stampCountBits |
+		l.sent[side]&(1<<stampCountBits-1)
+	l.sent[side]++
 	if l.cross {
 		r := 1 - side
-		l.mbox[r] = append(l.mbox[r], mboxEntry{at: at, frame: frame})
+		l.mbox[r] = append(l.mbox[r], mboxEntry{at: at, stamp: stamp, frame: frame})
 		return
 	}
-	l.scheduleDeliver(at, side, frame)
+	l.scheduleDeliver(at, stamp, side, frame)
 }
 
 // flushMailboxes moves parked cross-domain frames into the receiving
@@ -279,7 +306,7 @@ func (l *Link) flushMailboxes() {
 			}
 		}
 		for i := range es {
-			l.scheduleDeliver(es[i].at, 1-r, es[i].frame)
+			l.scheduleDeliver(es[i].at, es[i].stamp, 1-r, es[i].frame)
 			es[i].frame = nil
 		}
 		l.mbox[r] = es[:0]
@@ -287,9 +314,9 @@ func (l *Link) flushMailboxes() {
 }
 
 // scheduleDeliver parks the frame in a recycled pending slot of the
-// receiving side's pool and schedules the closure-free delivery event on
-// the receiver's domain.
-func (l *Link) scheduleDeliver(at sim.Time, side int, frame []byte) {
+// receiving side's pool and schedules the closure-free, stamped delivery
+// event on the receiver's domain.
+func (l *Link) scheduleDeliver(at sim.Time, stamp uint64, side int, frame []byte) {
 	r := 1 - side
 	var slot uint32
 	if n := len(l.free[r]); n > 0 {
@@ -300,7 +327,7 @@ func (l *Link) scheduleDeliver(at sim.Time, side int, frame []byte) {
 		l.pend[r] = append(l.pend[r], pendDelivery{})
 	}
 	l.pend[r][slot] = pendDelivery{frame: frame, side: int8(side)}
-	l.dom[r].AtEvent(at, l, uint64(r)<<32|uint64(slot))
+	l.dom[r].AtEventOrdered(at, stamp, l, uint64(r)<<32|uint64(slot))
 }
 
 // OnEvent completes the pending delivery in slot tag (sim.EventHandler).

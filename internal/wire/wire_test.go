@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"neat/internal/sim"
@@ -223,5 +225,62 @@ func TestLookaheadLowerBound(t *testing.T) {
 	}
 	if want := 2 * len(sendAt); delivered != want {
 		t.Fatalf("delivered %d frames, want %d (original + duplicate each)", delivered, want)
+	}
+}
+
+// tiePort logs each arrival as "name@time".
+type tiePort struct {
+	name string
+	log  *[]string
+	s    *sim.Simulator
+}
+
+func (p *tiePort) Receive(frame []byte) {
+	*p.log = append(*p.log, fmt.Sprintf("%s@%d", p.name, p.s.Now()))
+}
+
+// tieOrder runs two senders whose frames reach one receiver over two links
+// at the same instant, next to a receiver-local event scheduled for that
+// instant before either send. The later send rides the link created first,
+// so send order, barrier-flush order and the canonical stamp order would
+// all disagree if the stamp were not what decides.
+func tieOrder(pdes bool) []string {
+	s := sim.New(1)
+	if pdes {
+		s.EnablePDES(1)
+	}
+	rm := sim.NewMachine(s, "r", 1, 1, 1_000_000_000)
+	am := sim.NewMachine(s, "a", 1, 1, 1_000_000_000)
+	bm := sim.NewMachine(s, "b", 1, 1, 1_000_000_000)
+	var log []string
+	first, second := NewLink(s), NewLink(s) // first: b↔r, sent later; second: a↔r
+	first.PropDelay, second.PropDelay = sim.Microsecond, 2*sim.Microsecond
+	for _, x := range []struct {
+		l    *Link
+		m    *sim.Machine
+		name string
+	}{{first, bm, "first"}, {second, am, "second"}} {
+		x.l.BindEndpoint(0, x.m.Sim())
+		x.l.BindEndpoint(1, rm.Sim())
+		x.l.Attach(1, &tiePort{name: x.name, log: &log, s: rm.Sim()})
+	}
+	// A minimum frame serializes in 70 ns, so both arrive at 2070 ns.
+	const arrive = 2070
+	rm.Sim().At(arrive, func() { log = append(log, fmt.Sprintf("local@%d", rm.Sim().Now())) })
+	am.Sim().At(0, func() { second.Transmit(0, make([]byte, 64)) })
+	bm.Sim().At(sim.Microsecond, func() { first.Transmit(0, make([]byte, 64)) })
+	s.RunUntil(10 * sim.Microsecond)
+	return log
+}
+
+// TestWireArrivalTieOrder checks that simultaneous wire arrivals at one
+// receiver run in the same order on the sequential engine and on PDES:
+// by link identity, ahead of the receiver's own events of that instant.
+func TestWireArrivalTieOrder(t *testing.T) {
+	want := []string{"first@2070", "second@2070", "local@2070"}
+	for _, pdes := range []bool{false, true} {
+		if got := tieOrder(pdes); !reflect.DeepEqual(got, want) {
+			t.Errorf("pdes=%v: arrival order %v, want %v", pdes, got, want)
+		}
 	}
 }
