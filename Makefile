@@ -14,7 +14,7 @@ test:
 # B/op and allocs/op plus the wall-clock of a full `neat-bench -quick` run,
 # the PDES worker-scaling ladder, the cluster connection ladder and the
 # connection-scale ladder (the 1M rung rides in as BenchmarkMillionConns).
-BENCH_OUT ?= BENCH_pr13.json
+BENCH_OUT ?= BENCH_pr14.json
 
 bench:
 	$(GO) run ./cmd/neat-benchreport -out $(BENCH_OUT)
@@ -24,8 +24,10 @@ bench:
 # traced-breakdown + steering + PDES determinism + cluster determinism
 # tests under the race detector (the concurrent experiment runner and the
 # PDES coordinator must stay race-free AND byte-identical to a sequential
-# run, with or without tracing), the timer-wheel order and cancellation,
-# the wire's simultaneous-arrival order and the IPC ring semantics under
+# run, with or without tracing), the PDES barrier pool (workers joined on
+# stop, progress on one P, surplus workers, the in-window guard), the
+# timer-wheel order and cancellation, the wire's simultaneous-arrival
+# order and the IPC ring semantics under
 # the race detector, the allocation guards (scheduling/dispatch and the IPC
 # send/recv fast path must stay allocation-free in steady state), and
 # the md5 oracle pinning the default single-link campaign outputs: a
@@ -40,7 +42,7 @@ verify:
 	$(GO) test ./...
 	$(GO) test -race -timeout 1800s ./internal/experiments -run 'TestParallel|TestFaultMatrix|TestBreakdown|TestSteering|TestPDESDeterminism|TestAttack|TestClusterDeterminism|TestClusterFailover'
 	$(GO) test -race ./internal/bufpool ./internal/nicdev -run 'TestSlabOwnershipProperty|TestBatchedHandoffOwnership' -count=1
-	$(GO) test -race ./internal/sim -run 'TestTimerWheelMatchesReferenceScheduler|TestTimerWheelParkedSlotOrder|TestQueueBucketHeapOrder|TestTimerCancelLeavesWheel|TestTimerStatsStale' -count=1
+	$(GO) test -race ./internal/sim -run 'TestTimerWheelMatchesReferenceScheduler|TestTimerWheelParkedSlotOrder|TestQueueBucketHeapOrder|TestTimerCancelLeavesWheel|TestTimerStatsStale|TestPDESPoolStopsWorkers|TestPDESSingleProcProgress|TestPDESMoreWorkersThanDomains|TestPDESWorkerCountInvariance|TestPDESGuards' -count=1
 	$(GO) test -race ./internal/wire -run 'TestWireArrivalTieOrder' -count=1
 	$(GO) test -race ./internal/ipc -run 'TestIPCRingOverflowStalls|TestIPCInjectOrdering|TestIPCCoalescedRideFIFO|TestIPCDepthHighWater|TestFastPathLatency|TestSlowPathWhenColocated|TestRebindAfterCrash' -count=1
 	$(GO) test ./internal/sim -run 'TestScheduleZeroAlloc|TestUntracedDispatchAllocBudget|TestTracedDispatchNoExtraAllocs|TestBatchedDeliveryZeroAlloc|TestTimerArmStopZeroAlloc|TestTimerStatsPendingAndCascades' -count=1

@@ -42,11 +42,15 @@ type benchResult struct {
 // quick farm simulation (same seed) timed end to end. workers == 0 is the
 // sequential global event loop; speedup is relative to workers == 1 and
 // only exceeds 1.0 when the host has CPUs to spread the workers over.
+// barriers and events_per_window describe the PDES windows and, like
+// total_krps, are identical for every workers >= 1.
 type scalingRow struct {
-	Workers     int     `json:"workers"`
-	WallSeconds float64 `json:"wall_seconds"`
-	Speedup     float64 `json:"speedup_vs_1_worker,omitempty"`
-	TotalKRPS   float64 `json:"total_krps"`
+	Workers         int     `json:"workers"`
+	WallSeconds     float64 `json:"wall_seconds"`
+	Speedup         float64 `json:"speedup_vs_1_worker,omitempty"`
+	TotalKRPS       float64 `json:"total_krps"`
+	Barriers        uint64  `json:"barriers,omitempty"`
+	EventsPerWindow float64 `json:"events_per_window,omitempty"`
 }
 
 // clusterRow is one rung of the cluster campaign's connection ladder:
@@ -106,7 +110,7 @@ var benchSets = [][2]string{
 }
 
 func main() {
-	out := flag.String("out", "BENCH_pr13.json", "output JSON path; must not exist yet")
+	out := flag.String("out", "BENCH_pr14.json", "output JSON path; must not exist yet")
 	delta := flag.Bool("delta", false,
 		"compare the two most recent BENCH_*.json snapshots (or the two files passed as arguments) instead of generating a new one")
 	flag.Parse()
@@ -158,7 +162,8 @@ func main() {
 		}
 	}
 	for _, p := range points {
-		row := scalingRow{Workers: p.Workers, WallSeconds: p.WallSeconds, TotalKRPS: p.KRPS}
+		row := scalingRow{Workers: p.Workers, WallSeconds: p.WallSeconds, TotalKRPS: p.KRPS,
+			Barriers: p.Barriers, EventsPerWindow: p.EventsPerWindow}
 		if p.Workers >= 1 && base > 0 {
 			row.Speedup = base / p.WallSeconds
 		}

@@ -203,6 +203,10 @@ type ScalingPoint struct {
 	Workers     int     // 0 = sequential global event loop
 	WallSeconds float64 // wall-clock time to build and run the farm
 	KRPS        float64 // total farm goodput (sanity: identical for workers >= 1)
+	// Barriers and EventsPerWindow describe the PDES windows (zero for the
+	// sequential loop); like KRPS they are identical for every workers >= 1.
+	Barriers        uint64
+	EventsPerWindow float64
 }
 
 // PDESScalingLadder times the same farm run at each worker count and
@@ -224,7 +228,12 @@ func PDESScalingLadder(o Options, workerCounts []int) ([]ScalingPoint, error) {
 		for _, p := range f.pairs {
 			total += metrics.KRate(p.gen.GoodResponses(), o.farmWindow())
 		}
-		out = append(out, ScalingPoint{Workers: w, WallSeconds: wall, KRPS: total})
+		p := ScalingPoint{Workers: w, WallSeconds: wall, KRPS: total}
+		if barriers, _, _ := f.sim.PDESStats(); barriers > 0 {
+			p.Barriers = barriers
+			p.EventsPerWindow = float64(f.sim.EventsRun()) / float64(barriers)
+		}
+		out = append(out, p)
 	}
 	return out, nil
 }

@@ -45,3 +45,23 @@ func TestPDESDeterminism(t *testing.T) {
 		t.Fatalf("fault-matrix cell differs between 1 and 4 workers:\n%s\nvs\n%s", c1, c4)
 	}
 }
+
+// TestPDESScalingLadderWindowStats: the ladder's window statistics are
+// schedule-level facts, identical for every worker count >= 1, and absent
+// on the sequential loop.
+func TestPDESScalingLadderWindowStats(t *testing.T) {
+	points, err := PDESScalingLadder(Options{Quick: true, Seed: 1}, []int{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq := points[0]; seq.Barriers != 0 || seq.EventsPerWindow != 0 {
+		t.Fatalf("sequential point reports windows: %+v", seq)
+	}
+	one, two := points[1], points[2]
+	if one.Barriers == 0 || one.EventsPerWindow <= 0 {
+		t.Fatalf("1-worker point reports no windows: %+v", one)
+	}
+	if one.Barriers != two.Barriers || one.EventsPerWindow != two.EventsPerWindow || one.KRPS != two.KRPS {
+		t.Fatalf("window stats differ between 1 and 2 workers: %+v vs %+v", one, two)
+	}
+}

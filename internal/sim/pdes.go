@@ -14,8 +14,10 @@ package sim
 // propagation delay after the send. The coordinator therefore advances all
 // domains in parallel through windows no wider than the minimum registered
 // lookahead; influence generated inside a window lands strictly after it,
-// so domains never see each other mid-window. Cross-domain deliveries
-// travel through per-link mailboxes that registered flushers drain into the
+// so domains never see each other mid-window. Within a window the
+// coordinator and workers-1 pool goroutines claim domains one at a time
+// from a shared cursor (see pdesPool). Cross-domain deliveries travel
+// through per-link mailboxes that registered flushers drain into the
 // receiving domain's queue at each barrier, in deterministic order.
 //
 // Determinism: each domain's execution depends only on its own queue, RNG
@@ -37,6 +39,8 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
 	"sync/atomic"
 )
 
@@ -56,8 +60,9 @@ type pdesCoord struct {
 	// flushers drain cross-domain mailboxes into domain queues at each
 	// barrier, in registration order.
 	flushers []func()
-	// inWindow is set while worker goroutines execute a window; the
-	// control-plane schedule path panics if touched during one.
+	// inWindow is set while a window runs on the pool, whose participants
+	// include the coordinator's own goroutine; the control-plane schedule
+	// path panics if touched during one.
 	inWindow atomic.Bool
 
 	barriers uint64
@@ -266,52 +271,99 @@ func (s *Simulator) runPDES(limit Time, drain bool) {
 	}
 }
 
-// pdesPool is a window-scoped worker pool: one goroutine per worker, each
-// owning a contiguous block of domains. Contiguous partitioning spreads
-// load evenly when machines are created in (heavy server, light client)
-// pairs. The pool lives for one RunUntil/Drain call — simulations are
-// created in bulk by experiment sweeps, and per-call goroutines cannot leak.
+// pdesPool runs windows without entering the Go scheduler's park/wake
+// path. The coordinator goroutine is one participant and workers-1 pool
+// goroutines are the others. A window is published by bumping gen; every
+// participant then claims domains one at a time through the shared cursor
+// next until the list is exhausted (self-scheduling: domain loads are
+// uneven, so static blocks leave one side idle), and the pool goroutines
+// report completion by decrementing pending. Idle participants spin on
+// these counters and yield to the Go scheduler every spinYield iterations,
+// so progress never depends on having a CPU per worker.
+//
+// Which goroutine runs which domain does not matter: domains do not
+// interact within a window. The atomics are the happens-before edges that
+// make barrier-separated accesses race-free: window, cursor and everything
+// the coordinator wrote at the barrier (flushed mailbox lanes, control
+// events) are published by the gen increment, and everything a pool
+// goroutine wrote in its domains is published by its pending decrement,
+// which the coordinator observes before it flushes or reads stats.
+//
+// The pool lives for one RunUntil/Drain call; simulations are created in
+// bulk by experiment sweeps, and per-call goroutines cannot leak.
 type pdesPool struct {
-	cmd  []chan Time
-	done chan struct{}
+	doms    []*Simulator
+	helpers int32 // pool goroutines, workers-1
+
+	window  Time          // written before gen is bumped
+	next    atomic.Int64  // domain cursor for the current window
+	gen     atomic.Uint64 // window generation
+	pending atomic.Int32  // pool goroutines still inside the window
+	quit    atomic.Bool
+	wg      sync.WaitGroup
 }
 
+// spinYield is the number of spins between runtime.Gosched calls.
+const spinYield = 64
+
 func newPDESPool(doms []*Simulator, workers int) *pdesPool {
-	p := &pdesPool{done: make(chan struct{}, workers)}
-	per := (len(doms) + workers - 1) / workers
-	for lo := 0; lo < len(doms); lo += per {
-		hi := lo + per
-		if hi > len(doms) {
-			hi = len(doms)
-		}
-		ch := make(chan Time, 1)
-		p.cmd = append(p.cmd, ch)
-		go func(part []*Simulator, ch chan Time) {
-			for w := range ch {
-				for _, d := range part {
-					d.RunUntil(w)
-				}
-				p.done <- struct{}{}
-			}
-		}(doms[lo:hi], ch)
+	p := &pdesPool{doms: doms, helpers: int32(workers - 1)}
+	p.wg.Add(workers - 1)
+	for i := 1; i < workers; i++ {
+		go p.work()
 	}
 	return p
 }
 
-// runWindow advances every domain to w and waits for all of them. The
-// channel hand-offs double as the happens-before edges that make
-// barrier-separated accesses (mailbox lanes, stats reads) race-free.
-func (p *pdesPool) runWindow(w Time) {
-	for _, ch := range p.cmd {
-		ch <- w
-	}
-	for range p.cmd {
-		<-p.done
+// work is a pool goroutine: wait for the next generation, drain, report.
+// The coordinator cannot bump gen again before this goroutine reports, so
+// every generation is seen exactly once; quit is set only between windows.
+func (p *pdesPool) work() {
+	defer p.wg.Done()
+	for want := uint64(1); ; want++ {
+		spinWait(func() bool { return p.gen.Load() == want || p.quit.Load() })
+		if p.gen.Load() != want {
+			return
+		}
+		p.drain(p.window)
+		p.pending.Add(-1)
 	}
 }
 
-func (p *pdesPool) stop() {
-	for _, ch := range p.cmd {
-		close(ch)
+// drain claims and runs domains until none is left in this window.
+func (p *pdesPool) drain(w Time) {
+	for {
+		i := p.next.Add(1) - 1
+		if i >= int64(len(p.doms)) {
+			return
+		}
+		p.doms[i].RunUntil(w)
 	}
+}
+
+// runWindow advances every domain to w, running domains on the calling
+// goroutine too, and returns once every participant is done.
+func (p *pdesPool) runWindow(w Time) {
+	p.window = w
+	p.next.Store(0)
+	p.pending.Store(p.helpers)
+	p.gen.Add(1)
+	p.drain(w)
+	spinWait(func() bool { return p.pending.Load() == 0 })
+}
+
+// spinWait spins until done reports true, yielding to the Go scheduler
+// every spinYield iterations.
+func spinWait(done func() bool) {
+	for spins := 1; !done(); spins++ {
+		if spins%spinYield == 0 {
+			runtime.Gosched()
+		}
+	}
+}
+
+// stop ends the pool goroutines and waits for them to exit.
+func (p *pdesPool) stop() {
+	p.quit.Store(true)
+	p.wg.Wait()
 }

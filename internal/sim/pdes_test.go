@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // pdesPair builds a control-plane simulator with PDES enabled and two
@@ -142,8 +145,11 @@ func TestPDESWorkerCountInvariance(t *testing.T) {
 		s.RunUntil(Millisecond)
 		return fmt.Sprint(draws)
 	}
-	if a, b := run(1), run(2); a != b {
-		t.Fatalf("per-domain RNG draws differ across worker counts:\n%s\nvs\n%s", a, b)
+	want := run(1)
+	for _, workers := range []int{2, 3} {
+		if got := run(workers); got != want {
+			t.Fatalf("per-domain RNG draws differ between 1 and %d workers:\n%s\nvs\n%s", workers, want, got)
+		}
 	}
 }
 
@@ -213,6 +219,170 @@ func TestPDESGuards(t *testing.T) {
 	expectPanic("NewMachine on a shard", func() {
 		NewMachine(a.Sim(), "nested", 1, 1, 1_000_000_000)
 	})
+
+	// A domain event must not schedule on the control plane during a
+	// parallel window, whichever goroutine claimed its domain: the
+	// coordinator's own goroutine runs domains too.
+	s3, a3, b3 := pdesPair(2)
+	var panicked atomic.Int32
+	for _, m := range []*Machine{a3, b3} {
+		m.Sim().At(Microsecond, func() {
+			defer func() {
+				if recover() != nil {
+					panicked.Add(1)
+				}
+			}()
+			s3.At(Millisecond, func() {})
+		})
+	}
+	s3.RunUntil(Millisecond)
+	if got := panicked.Load(); got != 2 {
+		t.Fatalf("control-plane At inside a window panicked in %d of 2 domains", got)
+	}
+}
+
+// pdesRing builds n one-core machines linked in a ring by hand-made
+// cross-domain channels with lookahead la. Every domain starts tokens
+// that hop to the next domain, la plus an RNG-drawn delay later, until
+// each has made hops hops. It returns the control plane and a digest
+// function that reports per-domain event counts and clocks.
+func pdesRing(workers, n, hops int, la Time) (*Simulator, func() string) {
+	s := New(7)
+	s.EnablePDES(workers)
+	s.RegisterLookahead(la)
+	ms := make([]*Machine, n)
+	for i := range ms {
+		ms[i] = NewMachine(s, fmt.Sprintf("r%d", i), 1, 1, 1_000_000_000)
+	}
+	type token struct {
+		at   Time
+		left int
+	}
+	// mbox[i] is written only by domain i-1's events and drained into
+	// domain i at barriers.
+	mbox := make([][]token, n)
+	var hop func(i int, tk token)
+	hop = func(i int, tk token) {
+		d := ms[i].Sim()
+		d.At(tk.at, func() {
+			if tk.left == 0 {
+				return
+			}
+			j := (i + 1) % n
+			at := d.Now() + la + Time(d.Rand().Intn(3))*Nanosecond
+			mbox[j] = append(mbox[j], token{at: at, left: tk.left - 1})
+		})
+	}
+	s.RegisterBarrierFlush(func() {
+		for j := range mbox {
+			for _, tk := range mbox[j] {
+				hop(j, tk)
+			}
+			mbox[j] = mbox[j][:0]
+		}
+	})
+	for i := range ms {
+		for k := 0; k < 3; k++ {
+			hop(i, token{at: Time(k+1) * Nanosecond, left: hops})
+		}
+	}
+	digest := func() string {
+		_, _, doms := s.PDESStats()
+		out := fmt.Sprint(doms)
+		for _, m := range ms {
+			out += fmt.Sprintf(" %s@%v", m.Name, m.Sim().Now())
+		}
+		return out
+	}
+	return s, digest
+}
+
+// poolGoroutines counts the live pdesPool goroutines in a dump of every
+// goroutine's stack.
+func poolGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Count(buf[:n], []byte("created by neat/internal/sim.newPDESPool"))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestPDESPoolStopsWorkers: the pool goroutines run while a window
+// executes and are gone once RunUntil or Drain returns.
+func TestPDESPoolStopsWorkers(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		for _, drain := range []bool{false, true} {
+			s, _ := pdesRing(workers, 4, 50, Microsecond)
+			var during atomic.Int32
+			s.pdes.domains[0].At(Nanosecond, func() { during.Store(int32(poolGoroutines())) })
+			if drain {
+				s.Drain()
+			} else {
+				s.RunUntil(Millisecond)
+			}
+			if got := int(during.Load()); got < workers-1 {
+				t.Fatalf("workers=%d drain=%v: %d pool goroutines during a window, want %d",
+					workers, drain, got, workers-1)
+			}
+			// A pool goroutine may still be unwinding after stop returns.
+			n := poolGoroutines()
+			for deadline := time.Now().Add(2 * time.Second); n > 0 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+				n = poolGoroutines()
+			}
+			if n > 0 {
+				t.Fatalf("workers=%d drain=%v: %d pool goroutines left after the run", workers, drain, n)
+			}
+		}
+	}
+}
+
+// TestPDESSingleProcProgress: with one P, idle participants must yield to
+// the Go scheduler, or every window waits for preemption. Results match
+// the 1-worker run.
+func TestPDESSingleProcProgress(t *testing.T) {
+	const la = Microsecond
+	s1, digest1 := pdesRing(1, 4, 2000, la)
+	s1.RunUntil(5 * Millisecond)
+	want := digest1()
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	done := make(chan string, 1)
+	go func() {
+		s4, digest4 := pdesRing(4, 4, 2000, la)
+		s4.RunUntil(5 * Millisecond)
+		done <- digest4()
+	}()
+	select {
+	case got := <-done:
+		if got != want {
+			t.Fatalf("4 workers on one P:\n%s\nwant (1 worker):\n%s", got, want)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("4 workers on one P made no progress in 30s: idle participants never yield")
+	}
+}
+
+// TestPDESMoreWorkersThanDomains: surplus workers are clamped away and the
+// run matches the 1-worker run, under RunUntil and Drain.
+func TestPDESMoreWorkersThanDomains(t *testing.T) {
+	for _, drain := range []bool{false, true} {
+		run := func(workers int) string {
+			s, digest := pdesRing(workers, 3, 100, Microsecond)
+			if drain {
+				s.Drain()
+			} else {
+				s.RunUntil(Millisecond)
+			}
+			return digest()
+		}
+		if want, got := run(1), run(8); got != want {
+			t.Fatalf("drain=%v: 8 workers on 3 domains:\n%s\nwant (1 worker):\n%s", drain, got, want)
+		}
+	}
 }
 
 // TestPDESStatsOffMode: the sequential mode reports no PDES stats, so

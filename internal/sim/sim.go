@@ -404,15 +404,24 @@ func (s *Simulator) nextSeq() uint64 {
 }
 
 // schedule clamps t to now, stamps the sequence number and enqueues.
-func (s *Simulator) schedule(t Time, e event) { s.enqueue(t, s.nextSeq(), e) }
+func (s *Simulator) schedule(t Time, e event) {
+	s.guardWindow()
+	s.enqueue(t, s.nextSeq(), e)
+}
 
-func (s *Simulator) enqueue(t Time, seq uint64, e event) {
+// guardWindow panics if s is a PDES control plane and a window is running.
+// Domain code must never schedule on the control plane while windows
+// execute concurrently: the control queue and sequence counter are only
+// touched at barriers. Cross-domain influence goes through the wire. The
+// check runs before any control-plane state is touched, so concurrent
+// offenders panic without racing on it.
+func (s *Simulator) guardWindow() {
 	if s.pdes != nil && s.parent == nil && s.pdes.inWindow.Load() {
-		// Domain code must never schedule on the control plane while
-		// windows execute concurrently: the control queue is only touched
-		// at barriers. Cross-domain influence goes through the wire.
 		panic("sim: control-plane schedule during a parallel window")
 	}
+}
+
+func (s *Simulator) enqueue(t Time, seq uint64, e event) {
 	if t < s.now {
 		t = s.now
 	}
@@ -449,6 +458,7 @@ func (s *Simulator) AtEventOrdered(t Time, stamp uint64, h EventHandler, tag uin
 	if stamp&seqLocal != 0 {
 		panic("sim: ordered-event stamp out of range")
 	}
+	s.guardWindow()
 	s.enqueue(t, stamp, event{kind: evHandler, h: h, tag: tag})
 }
 
