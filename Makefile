@@ -14,7 +14,7 @@ test:
 # B/op and allocs/op plus the wall-clock of a full `neat-bench -quick` run,
 # the PDES worker-scaling ladder, the cluster connection ladder and the
 # connection-scale ladder (the 1M rung rides in as BenchmarkMillionConns).
-BENCH_OUT ?= BENCH_pr14.json
+BENCH_OUT ?= BENCH_pr15.json
 
 bench:
 	$(GO) run ./cmd/neat-benchreport -out $(BENCH_OUT)
@@ -28,8 +28,11 @@ bench:
 # stop, progress on one P, surplus workers, the in-window guard), the
 # timer-wheel order and cancellation, the wire's simultaneous-arrival
 # order and the IPC ring semantics under
-# the race detector, the allocation guards (scheduling/dispatch and the IPC
-# send/recv fast path must stay allocation-free in steady state), and
+# the race detector, the allocation guards (scheduling/dispatch, the IPC
+# send/recv fast path and a warm keep-alive HTTP request's socket byte
+# path must stay allocation-free in steady state; received bytes are
+# recycled after OnData, and acked send storage is reused but never while
+# an aborted connection's TSO view may still cover it), and
 # the md5 oracle pinning the default single-link campaign outputs: a
 # topology-plumbing change that shifts one byte of `neat-bench -quick` or
 # `neat-faults -matrix -quick` fails here, not in review. The cluster and
@@ -47,6 +50,7 @@ verify:
 	$(GO) test -race ./internal/ipc -run 'TestIPCRingOverflowStalls|TestIPCInjectOrdering|TestIPCCoalescedRideFIFO|TestIPCDepthHighWater|TestFastPathLatency|TestSlowPathWhenColocated|TestRebindAfterCrash' -count=1
 	$(GO) test ./internal/sim -run 'TestScheduleZeroAlloc|TestUntracedDispatchAllocBudget|TestTracedDispatchNoExtraAllocs|TestBatchedDeliveryZeroAlloc|TestTimerArmStopZeroAlloc|TestTimerStatsPendingAndCascades' -count=1
 	$(GO) test ./internal/ipc -run 'TestIPCSendRecvZeroAlloc|TestIPCBatchDrainZeroAlloc' -count=1
+	$(GO) test . ./internal/app ./internal/tcpeng -run 'TestKeepAliveHTTPAllocBudget|TestEchoRepliesSurviveBufferRecycling|TestSendBufferReusesStorage|TestAbortedSendStorageNotReused' -count=1
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/neat-bench ./cmd/neat-bench; \
 	$(GO) build -o $$tmp/neat-faults ./cmd/neat-faults; \

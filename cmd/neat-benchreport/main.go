@@ -110,7 +110,7 @@ var benchSets = [][2]string{
 }
 
 func main() {
-	out := flag.String("out", "BENCH_pr14.json", "output JSON path; must not exist yet")
+	out := flag.String("out", "BENCH_pr15.json", "output JSON path; must not exist yet")
 	delta := flag.Bool("delta", false,
 		"compare the two most recent BENCH_*.json snapshots (or the two files passed as arguments) instead of generating a new one")
 	flag.Parse()

@@ -142,18 +142,25 @@ func (h *HTTPD) accept(ctx *sim.Context, s *socketlib.Socket) {
 	}
 }
 
-// onData buffers and parses pipelined HTTP/1.1 requests.
+// onData parses pipelined HTTP/1.1 requests. They are parsed in place
+// from data when no partial request is buffered; only an unparsed tail is
+// kept, since data is valid only during the callback.
 func (c *httpConn) onData(ctx *sim.Context, data []byte, eof bool) {
-	c.inbuf = append(c.inbuf, data...)
+	buf := data
+	if len(c.inbuf) > 0 {
+		c.inbuf = append(c.inbuf, data...)
+		buf = c.inbuf
+	}
 	for !c.closing {
-		end := bytes.Index(c.inbuf, []byte("\r\n\r\n"))
+		end := bytes.Index(buf, []byte("\r\n\r\n"))
 		if end < 0 {
 			break
 		}
-		req := c.inbuf[:end]
-		c.inbuf = c.inbuf[end+4:]
+		req := buf[:end]
+		buf = buf[end+4:]
 		c.handleRequest(ctx, req)
 	}
+	c.inbuf = append(c.inbuf[:0], buf...)
 	if eof && !c.closing {
 		c.closing = true
 		c.sock.Close(ctx)
@@ -170,16 +177,15 @@ func (c *httpConn) handleRequest(ctx *sim.Context, req []byte) {
 	if i := bytes.IndexByte(line, '\r'); i >= 0 {
 		line = line[:i]
 	}
-	parts := bytes.SplitN(line, []byte(" "), 3)
-	if len(parts) < 3 || string(parts[0]) != "GET" {
+	method, path, ok := parseRequestLine(line)
+	if !ok || string(method) != "GET" {
 		h.stats.BadReqs++
 		c.respond(ctx, 400, []byte("bad request"), true)
 		return
 	}
-	path := string(parts[1])
 	wantClose := bytes.Contains(req, []byte("Connection: close"))
 
-	size, ok := h.cfg.Files[path]
+	size, ok := h.cfg.Files[string(path)]
 	if !ok {
 		h.stats.NotFound++
 		c.respond(ctx, 404, []byte("not found"), wantClose)
@@ -190,6 +196,21 @@ func (c *httpConn) handleRequest(ctx *sim.Context, req []byte) {
 		wantClose = true
 	}
 	c.respondFile(ctx, size, wantClose)
+}
+
+// parseRequestLine splits a request line "METHOD SP PATH SP REST" into
+// its method and path, reporting false when the line has fewer than three
+// space-separated fields. Both results alias line.
+func parseRequestLine(line []byte) (method, path []byte, ok bool) {
+	method, rest, ok := bytes.Cut(line, []byte(" "))
+	if !ok {
+		return nil, nil, false
+	}
+	path, _, ok = bytes.Cut(rest, []byte(" "))
+	if !ok {
+		return nil, nil, false
+	}
+	return method, path, true
 }
 
 // respond sends a small literal response.
@@ -213,8 +234,12 @@ func (c *httpConn) respond(ctx *sim.Context, code int, body []byte, closeAfter b
 // bodies lazily on send-space notifications.
 func (c *httpConn) respondFile(ctx *sim.Context, size int, closeAfter bool) {
 	h := c.srv
-	head := "HTTP/1.1 200 OK\r\nContent-Length: " + strconv.Itoa(size) +
-		"\r\n" + connHeader(closeAfter) + "\r\n"
+	var hb [80]byte
+	head := append(hb[:0], "HTTP/1.1 200 OK\r\nContent-Length: "...)
+	head = strconv.AppendInt(head, int64(size), 10)
+	head = append(head, "\r\n"...)
+	head = append(head, connHeader(closeAfter)...)
+	head = append(head, "\r\n"...)
 	ctx.Charge(h.cfg.CyclesPerKB * int64(size/1024+1))
 	h.stats.Responses++
 	h.stats.BytesOut += uint64(len(head) + size)
@@ -232,7 +257,7 @@ func (c *httpConn) respondFile(ctx *sim.Context, size int, closeAfter bool) {
 		}
 		return
 	}
-	c.sock.SendRef(ctx, h.arena.AllocString(head))
+	c.sock.SendRef(ctx, h.arena.AllocCopy(head))
 	c.sendRemaining = size
 	c.pump(ctx)
 }

@@ -75,6 +75,9 @@ type Loadgen struct {
 
 	// arena carves request payloads out of pooled slab blocks (see HTTPD).
 	arena bufpool.Arena
+	// reqKeep and reqClose are the two request heads, built once: the
+	// second announces Connection: close.
+	reqKeep, reqClose string
 }
 
 type lgConn struct {
@@ -87,8 +90,10 @@ type lgConn struct {
 	bodySeen   int  // body bytes already consumed of the current response
 	closeAfter bool // server announced Connection: close on this response
 	reqStart   sim.Time
-	// timer is the request timeout, re-armed in place for every request.
-	timer sim.Timer
+	// timer is the request timeout, re-armed in place for every request
+	// with the connection's one boxed lgTimeout message.
+	timer      sim.Timer
+	timeoutMsg sim.Message
 	// windowResponses counts replies during the measuring window for
 	// httperf-style discarding on error.
 	windowResponses uint64
@@ -123,6 +128,8 @@ func NewLoadgen(th *sim.HWThread, name string, syscallProc *sim.Proc, ipcCosts i
 		cfg.CyclesPerRequest = 2500
 	}
 	lg := &Loadgen{cfg: cfg}
+	lg.reqKeep = "GET " + cfg.URI + " HTTP/1.1\r\nHost: sut\r\n\r\n"
+	lg.reqClose = "GET " + cfg.URI + " HTTP/1.1\r\nHost: sut\r\nConnection: close\r\n\r\n"
 	lg.proc = sim.NewProc(th, name, lg, sim.ProcConfig{
 		Component: "app", WakeCycles: 1400, HaltCycles: 900, DispatchCycles: 60,
 	})
@@ -195,6 +202,7 @@ func (lg *Loadgen) openConn(ctx *sim.Context) {
 	lg.gen++
 	lg.stats.ConnsOpened++
 	c := &lgConn{lg: lg, gen: lg.gen, expect: -1}
+	c.timeoutMsg = lgTimeout{c: c, gen: c.gen}
 	var lp uint16
 	if lg.cfg.Ports != nil {
 		lp = lg.cfg.Ports()
@@ -222,49 +230,68 @@ func (lg *Loadgen) sendRequest(ctx *sim.Context, c *lgConn) {
 	ctx.Charge(lg.cfg.CyclesPerRequest)
 	c.sent++
 	lg.stats.RequestsSent++
-	closeHdr := ""
+	req := lg.reqKeep
 	if c.sent >= lg.cfg.ReqPerConn && !lg.cfg.CloseFromClient {
-		closeHdr = "Connection: close\r\n"
+		req = lg.reqClose
 	}
-	req := "GET " + lg.cfg.URI + " HTTP/1.1\r\nHost: sut\r\n" + closeHdr + "\r\n"
 	c.reqStart = ctx.Sim.Now()
 	c.expect = -1
 	c.sock.SendRef(ctx, lg.arena.AllocString(req))
-	ctx.Retimer(&c.timer, lg.cfg.Timeout, lgTimeout{c: c, gen: c.gen})
+	ctx.Retimer(&c.timer, lg.cfg.Timeout, c.timeoutMsg)
 }
 
 // onData consumes response bytes, completing requests as bodies fill.
+// Responses are parsed in place from data when nothing is buffered; only
+// an unparsed tail is kept, since data is valid only during the callback.
 func (lg *Loadgen) onData(ctx *sim.Context, c *lgConn, data []byte, eof bool) {
-	c.inbuf = append(c.inbuf, data...)
+	buf := data
+	if len(c.inbuf) > 0 {
+		c.inbuf = append(c.inbuf, data...)
+		buf = c.inbuf
+	}
+	buf = lg.consume(ctx, c, buf)
+	c.inbuf = append(c.inbuf[:0], buf...)
+	if eof && !c.done {
+		// Server closed early (e.g. its keep-alive limit) — only an error
+		// if a request was outstanding.
+		if c.expect != -1 || c.sent < lg.cfg.ReqPerConn {
+			lg.connError(ctx, c, false)
+		} else {
+			c.sock.Close(ctx)
+		}
+	}
+}
+
+// consume parses responses out of buf and returns the unparsed tail.
+func (lg *Loadgen) consume(ctx *sim.Context, c *lgConn, buf []byte) []byte {
 	for {
 		if c.expect == -1 {
 			// Parse response head.
-			end := bytes.Index(c.inbuf, []byte("\r\n\r\n"))
+			end := bytes.Index(buf, []byte("\r\n\r\n"))
 			if end < 0 {
-				break
+				return buf
 			}
-			head := c.inbuf[:end]
-			c.inbuf = c.inbuf[end+4:]
+			head := buf[:end]
+			buf = buf[end+4:]
 			c.expect = parseContentLength(head)
 			c.closeAfter = bytes.Contains(head, []byte("Connection: close"))
 		}
-		if c.expect > len(c.inbuf) {
+		if c.expect > len(buf) {
 			// Consume (and discard) partial body bytes so huge responses
 			// never accumulate in the buffer.
-			c.bodySeen += len(c.inbuf)
-			c.expect -= len(c.inbuf)
-			c.inbuf = nil
-			break
+			c.bodySeen += len(buf)
+			c.expect -= len(buf)
+			return nil
 		}
 		// Rest of the response body is here.
 		c.bodySeen += c.expect
-		c.inbuf = c.inbuf[c.expect:]
+		buf = buf[c.expect:]
 		body := c.bodySeen
 		c.bodySeen = 0
 		c.expect = -1
 		lg.completeResponse(ctx, c, body)
 		if c.done {
-			return
+			return buf
 		}
 		if c.closeAfter {
 			// The server ends the connection here (its keep-alive limit or
@@ -274,17 +301,17 @@ func (lg *Loadgen) onData(ctx *sim.Context, c *lgConn, data []byte, eof bool) {
 			lg.stats.ConnsCompleted++
 			c.sock.Close(ctx)
 			lg.openConn(ctx)
-			return
+			return buf
 		}
 		if c.sent < lg.cfg.ReqPerConn {
 			if lg.cfg.ThinkTime > 0 {
 				ctx.TimerAfter(lg.cfg.ThinkTime, lgThinkDone{c: c, gen: c.gen})
-				break
+				return buf
 			}
 			lg.sendRequest(ctx, c)
 			// Responses cannot be pipelined beyond what we requested.
-			if len(c.inbuf) == 0 {
-				break
+			if len(buf) == 0 {
+				return buf
 			}
 			continue
 		}
@@ -293,16 +320,7 @@ func (lg *Loadgen) onData(ctx *sim.Context, c *lgConn, data []byte, eof bool) {
 		lg.stats.ConnsCompleted++
 		c.sock.Close(ctx)
 		lg.openConn(ctx)
-		return
-	}
-	if eof && !c.done {
-		// Server closed early (e.g. its keep-alive limit) — only an error
-		// if a request was outstanding.
-		if c.expect != -1 || c.sent < lg.cfg.ReqPerConn {
-			lg.connError(ctx, c, false)
-		} else {
-			c.sock.Close(ctx)
-		}
+		return buf
 	}
 }
 
@@ -342,7 +360,8 @@ func (lg *Loadgen) connError(ctx *sim.Context, c *lgConn, timeout bool) {
 // Field names are case-insensitive and the value tolerates optional
 // whitespace after the colon (RFC 9110 §5.1, §5.6.3), so responses from
 // stacks that emit "content-length:5" parse the same as the canonical
-// form.
+// form. A value that is not a non-negative integer counts as 0: a
+// negative length would run the body countdown backwards.
 func parseContentLength(head []byte) int {
 	for len(head) > 0 {
 		line := head
@@ -357,7 +376,7 @@ func parseContentLength(head []byte) int {
 		}
 		v := bytes.TrimRight(bytes.TrimLeft(line[i+1:], " \t"), " \t")
 		n, err := strconv.Atoi(string(v))
-		if err != nil {
+		if err != nil || n < 0 {
 			return 0
 		}
 		return n

@@ -230,24 +230,12 @@ func (h *kernelHost) opSend(connID uint64, data []byte, ref bufpool.Ref, wantSpa
 	h.lock()
 	h.stats.SyscallsIn++
 	sc := c.Ctx.(*sockCtx)
-	sc.pending = append(sc.pending, data...)
-	ref.Release() // data now lives in sc.pending
 	if wantSpace {
 		sc.wantSpace = true
 	}
-	h.drainPending(c, sc)
+	sc.pending = stack.SendOrQueue(c, sc.pending, data)
+	ref.Release() // the engine or sc.pending holds a copy of data
 	h.maybeAdvertiseSpace(c, sc)
-}
-
-func (h *kernelHost) drainPending(c *tcpeng.Conn, sc *sockCtx) {
-	for len(sc.pending) > 0 {
-		n := c.Send(sc.pending)
-		if n == 0 {
-			return
-		}
-		sc.pending = sc.pending[n:]
-	}
-	sc.pending = nil
 }
 
 func (h *kernelHost) maybeAdvertiseSpace(c *tcpeng.Conn, sc *sockCtx) {
@@ -394,12 +382,12 @@ func (h *kernelHost) DataReadable(c *tcpeng.Conn) {
 	if !ok {
 		return
 	}
-	data := c.Recv(0)
+	data := stack.ReadConn(c)
 	eof := c.EOF()
 	if len(data) == 0 && !eof {
 		return
 	}
-	h.sendApp(sc.app, stack.EvData{Stack: sc.home, ConnID: c.ID, Data: data, EOF: eof})
+	h.sendApp(sc.app, stack.NewEvData(sc.home, c.ID, data, eof))
 }
 
 // SendSpace implements tcpeng.Env.
@@ -408,7 +396,7 @@ func (h *kernelHost) SendSpace(c *tcpeng.Conn) {
 	if !ok {
 		return
 	}
-	h.drainPending(c, sc)
+	sc.pending = stack.DrainPending(c, sc.pending)
 	h.maybeAdvertiseSpace(c, sc)
 }
 

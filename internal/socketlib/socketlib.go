@@ -51,6 +51,10 @@ type Lib struct {
 	listeners  map[uint64]*Listener
 	udps       map[connKey]*UDPSocket
 	udpBinding map[uint64]*UDPSocket
+
+	// arena holds Send's copies of caller bytes until the stack has
+	// absorbed them (see Socket.Send).
+	arena bufpool.Arena
 }
 
 type connKey struct {
@@ -145,7 +149,10 @@ type Socket struct {
 
 	// OnConnect resolves Connect (nil error on success).
 	OnConnect func(ctx *sim.Context, err error)
-	// OnData delivers received bytes; eof marks the peer's FIN.
+	// OnData delivers received bytes; eof marks the peer's FIN. As with a
+	// BSD read buffer, data is valid only until OnData returns: the
+	// library recycles it afterwards, so a callback that keeps bytes must
+	// copy them (Send does).
 	OnData func(ctx *sim.Context, data []byte, eof bool)
 	// OnSendSpace fires when requested send space became available.
 	OnSendSpace func(ctx *sim.Context, avail int)
@@ -186,14 +193,15 @@ func (s *Socket) Credit() int { return s.credit }
 // replica). It returns false if the socket is not open. When the tracked
 // credit falls below SendLowWater the stack is asked to notify via
 // OnSendSpace; large transfers should chunk on that signal.
+//
+// Send copies data into the library's arena, so the caller may reuse data
+// at once — including the bytes OnData lent it, which echo servers send
+// straight back.
 func (s *Socket) Send(ctx *sim.Context, data []byte) bool {
 	if s.state != SockOpen {
 		return false
 	}
-	s.credit -= len(data)
-	want := s.credit < SendLowWater
-	s.lib.stackConn(s.stack).Send(ctx, stack.NewOpSend(s.connID, data, bufpool.Ref{}, want))
-	return true
+	return s.SendRef(ctx, s.lib.arena.AllocCopy(data))
 }
 
 // SendRef streams slab-carved data on the socket. Ownership of the Ref
@@ -318,11 +326,12 @@ func (l *Lib) HandleEvent(ctx *sim.Context, msg sim.Message) bool {
 			s.OnConnect(ctx, nil)
 		}
 		return true
-	case stack.EvData:
+	case *stack.EvData:
 		s, ok := l.conns[connKey{m.Stack, m.ConnID}]
 		if ok && s.OnData != nil {
 			s.OnData(ctx, m.Data, m.EOF)
 		}
+		m.Free()
 		return true
 	case stack.EvSendSpace:
 		s, ok := l.conns[connKey{m.Stack, m.ConnID}]

@@ -215,12 +215,32 @@ type EvConnected struct {
 }
 
 // EvData delivers received bytes (push-mode fast path). EOF marks the
-// peer's FIN after all data.
+// peer's FIN after all data. The event is a pooled box whose Data is a
+// bufpool buffer the stack copied the bytes into: the receiver owns both
+// and hands them back with Free once it has consumed Data.
 type EvData struct {
 	Stack  *sim.Proc
 	ConnID uint64
 	Data   []byte
 	EOF    bool
+}
+
+var evDataPool = sync.Pool{New: func() any { return new(EvData) }}
+
+// NewEvData returns a pooled EvData box. data must come from bufpool.Get
+// (or be nil); ownership of both transfers with the message.
+func NewEvData(stack *sim.Proc, connID uint64, data []byte, eof bool) *EvData {
+	m := evDataPool.Get().(*EvData)
+	m.Stack, m.ConnID, m.Data, m.EOF = stack, connID, data, eof
+	return m
+}
+
+// Free returns Data to the buffer pools and the box to its pool. Neither
+// may be touched afterwards.
+func (m *EvData) Free() {
+	bufpool.Put(m.Data)
+	*m = EvData{}
+	evDataPool.Put(m)
 }
 
 // EvSendSpace advertises the absolute free send window for a connection.

@@ -112,7 +112,9 @@ func (a *echoServer) HandleMessage(ctx *sim.Context, msg sim.Message) {
 		}
 	case EvAccepted:
 		a.accepted++
-	case EvData:
+	case *EvData:
+		// m.Data rides on in the OpSend, so the event is not freed here;
+		// the stack copies the bytes when it absorbs the send.
 		a.got[m.ConnID] = append(a.got[m.ConnID], m.Data...)
 		if len(m.Data) > 0 {
 			a.stack.Send(ctx, OpSend{ConnID: m.ConnID, Data: m.Data})
@@ -155,8 +157,9 @@ func (a *echoClient) HandleMessage(ctx *sim.Context, msg sim.Message) {
 		}
 		a.connID = m.ConnID
 		a.stack.Send(ctx, OpSend{ConnID: m.ConnID, Data: a.payload})
-	case EvData:
+	case *EvData:
 		a.got = append(a.got, m.Data...)
+		m.Free()
 		if len(a.got) >= len(a.payload) {
 			a.stack.Send(ctx, OpClose{ConnID: a.connID})
 			a.done = true

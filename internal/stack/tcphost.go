@@ -134,7 +134,8 @@ func (h *tcpHost) handleOp(ctx *sim.Context, msg sim.Message) bool {
 }
 
 // opSend appends send-stream bytes to a connection: the shared body of the
-// pooled (*OpSend) and value (OpSend) message forms.
+// pooled (*OpSend) and value (OpSend) message forms. The bytes go straight
+// into the engine's send buffer; only what it cannot take yet is queued.
 func (h *tcpHost) opSend(ctx *sim.Context, connID uint64, data []byte, ref bufpool.Ref, wantSpace bool) {
 	c, ok := h.conns[connID]
 	if !ok {
@@ -142,13 +143,12 @@ func (h *tcpHost) opSend(ctx *sim.Context, connID uint64, data []byte, ref bufpo
 		return // connection already gone; app learns via EvClosed
 	}
 	sc := c.Ctx.(*sockCtx)
-	sc.pending = append(sc.pending, data...)
-	ref.Release() // data now lives in sc.pending
 	if wantSpace {
 		sc.wantSpace = true
 	}
 	ctx.Charge(h.costs.SockOp)
-	h.drainPending(c, sc)
+	sc.pending = SendOrQueue(c, sc.pending, data)
+	ref.Release() // the engine or sc.pending holds a copy of data
 	h.maybeAdvertiseSpace(c, sc)
 }
 
@@ -187,18 +187,6 @@ func (h *tcpHost) restore(ctx *sim.Context, snap *tcpeng.Snapshot) {
 	if h.r.OnRestored != nil {
 		h.r.OnRestored(h.r, n)
 	}
-}
-
-// drainPending moves buffered OpSend bytes into the engine.
-func (h *tcpHost) drainPending(c *tcpeng.Conn, sc *sockCtx) {
-	for len(sc.pending) > 0 {
-		n := c.Send(sc.pending)
-		if n == 0 {
-			return
-		}
-		sc.pending = sc.pending[n:]
-	}
-	sc.pending = nil
 }
 
 // maybeAdvertiseSpace tells a waiting app how much send window is free.
@@ -300,12 +288,12 @@ func (h *tcpHost) DataReadable(c *tcpeng.Conn) {
 	if !ok {
 		return
 	}
-	data := c.Recv(0)
+	data := ReadConn(c)
 	eof := c.EOF()
 	if len(data) == 0 && !eof {
 		return
 	}
-	h.sendApp(h.ctx, sc.app, EvData{Stack: h.proc, ConnID: c.ID, Data: data, EOF: eof})
+	h.sendApp(h.ctx, sc.app, NewEvData(h.proc, c.ID, data, eof))
 }
 
 // SendSpace implements tcpeng.Env.
@@ -314,7 +302,7 @@ func (h *tcpHost) SendSpace(c *tcpeng.Conn) {
 	if !ok {
 		return
 	}
-	h.drainPending(c, sc)
+	sc.pending = DrainPending(c, sc.pending)
 	h.maybeAdvertiseSpace(c, sc)
 }
 
@@ -342,3 +330,38 @@ func (h *tcpHost) ConnRemoved(c *tcpeng.Conn) {
 
 // RandUint32 implements tcpeng.Env.
 func (h *tcpHost) RandUint32() uint32 { return h.proc.Sim().Rand().Uint32() }
+
+// ---- Socket byte path, shared with the baseline kernel's socket layer ----
+
+// ReadConn empties c's receive buffer into a fresh bufpool buffer for an
+// EvData (nil when nothing is buffered).
+func ReadConn(c *tcpeng.Conn) []byte {
+	n := c.RecvAvailable()
+	if n == 0 {
+		return nil
+	}
+	return c.ReadAll(bufpool.Get(n)[:0])
+}
+
+// SendOrQueue hands data straight to the engine when nothing is queued
+// ahead of it and appends what the engine cannot take yet to pending,
+// which it returns. The engine copies what it accepts, so data is not
+// retained either way.
+func SendOrQueue(c *tcpeng.Conn, pending, data []byte) []byte {
+	if len(pending) > 0 {
+		return DrainPending(c, append(pending, data...))
+	}
+	if len(data) == 0 {
+		return pending
+	}
+	return append(pending, data[c.Send(data):]...)
+}
+
+// DrainPending moves queued send bytes into the engine, compacting the
+// rest to the front of pending so its storage is reused.
+func DrainPending(c *tcpeng.Conn, pending []byte) []byte {
+	if len(pending) == 0 {
+		return pending
+	}
+	return pending[:copy(pending, pending[c.Send(pending):])]
+}

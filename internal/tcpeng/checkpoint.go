@@ -145,7 +145,7 @@ func (e *Engine) Restore(s *Snapshot) int {
 		c.rcv.wndShift = cs.RcvWndShift
 		if len(cs.SndBuf) > 0 || len(cs.RcvBuf) > 0 {
 			b := c.ensureBufs()
-			b.snd = append(b.snd, cs.SndBuf...)
+			b.appendSnd(cs.SndBuf)
 			b.rcv = append(b.rcv, cs.RcvBuf...)
 		}
 		c.rto = e.cfg.InitialRTO

@@ -97,17 +97,44 @@ type ooSeg struct {
 // connBufs is a connection's buffer block: send/receive byte buffers plus
 // the out-of-order reassembly list. Blocks are pooled per engine and
 // attached to a Conn only when it first buffers data.
+//
+// Both byte buffers keep their storage. rcv is emptied in place by
+// ReadAll, which copies the bytes out. snd slides forward as bytes are
+// acked (emitted segments view it, see emitData) and restarts at sndBase
+// once every byte has been acked: a TSO descriptor's payload view is
+// consumed in FIFO order (TCP → IP → driver → NIC) before the peer can
+// receive, let alone ack, its bytes, so no view covers acked storage.
 type connBufs struct {
-	snd []byte  // unacked+unsent bytes; snd[0] is seq snd.una
-	rcv []byte  // in-order data awaiting Recv
-	oo  []ooSeg // out-of-order segments, sorted by seq
+	snd     []byte  // unacked+unsent bytes; snd[0] is seq snd.una
+	sndBase []byte  // snd's backing array from its start, length 0
+	rcv     []byte  // in-order data awaiting ReadAll
+	oo      []ooSeg // out-of-order segments, sorted by seq
 }
 
-// recycle empties the block for reuse. Slices already handed out (Recv
-// results, marshalled segments) live strictly before the current bases or
-// were copied by the env, so reusing the remaining capacity is safe.
+// appendSnd queues bytes for sending, reusing the storage from its base
+// when nothing is unacked and adopting the new array when append grows.
+func (b *connBufs) appendSnd(data []byte) {
+	if len(b.snd) == 0 {
+		b.snd = b.sndBase
+	}
+	grows := len(b.snd)+len(data) > cap(b.snd)
+	b.snd = append(b.snd, data...)
+	if grows {
+		b.sndBase = b.snd[:0]
+	}
+}
+
+// recycle empties the block for reuse. A connection that died with
+// unacked bytes (RST, abort, give-up) may still have a TSO view of them
+// in flight towards the NIC, so that send storage is dropped rather than
+// handed to the block's next connection. Received bytes were copied out
+// by ReadAll and out-of-order segments own their copies, so rcv and oo
+// are always reused.
 func (b *connBufs) recycle() {
-	b.snd = b.snd[:0]
+	if len(b.snd) > 0 {
+		b.sndBase = nil
+	}
+	b.snd = b.sndBase
 	b.rcv = b.rcv[:0]
 	for i := range b.oo {
 		b.oo[i] = ooSeg{}

@@ -119,6 +119,9 @@ type fakeEnv struct {
 	recvData map[*Conn][]byte
 
 	segsSent int
+	// capture, when set, sees every outbound segment before it is
+	// serialized, with its payload still a view of the send buffer.
+	capture func(seg OutSegment)
 }
 
 func newFakeEnv(h *harness, name string, addr proto.Addr) *fakeEnv {
@@ -141,6 +144,9 @@ func (e *fakeEnv) Now() sim.Time { return e.h.now }
 
 func (e *fakeEnv) SendSegment(c *Conn, seg OutSegment) {
 	e.segsSent++
+	if e.capture != nil {
+		e.capture(seg)
+	}
 	// Serialize through the real codec; split TSO like the NIC would.
 	payloads := [][]byte{seg.Payload}
 	if seg.TSO && len(seg.Payload) > seg.MSS {
@@ -208,7 +214,7 @@ func (e *fakeEnv) Connected(c *Conn) { e.connected = append(e.connected, c) }
 func (e *fakeEnv) DataReadable(c *Conn) {
 	e.readable[c]++
 	if e.autoRecv {
-		e.recvData[c] = append(e.recvData[c], c.Recv(0)...)
+		e.recvData[c] = c.ReadAll(e.recvData[c])
 	}
 }
 

@@ -20,7 +20,7 @@ func (c *Conn) Send(data []byte) int {
 	if len(data) > space {
 		data = data[:space]
 	}
-	b.snd = append(b.snd, data...)
+	b.appendSnd(data)
 	c.trySend()
 	return len(data)
 }
@@ -28,27 +28,24 @@ func (c *Conn) Send(data []byte) int {
 // SendSpaceFree returns the free bytes in the send buffer.
 func (c *Conn) SendSpaceFree() int { return c.snd.bufMax - len(c.sndBuf()) }
 
-// Recv takes up to max bytes of in-order received data. A growing receive
-// window is re-advertised opportunistically by the next outbound segment.
-func (c *Conn) Recv(max int) []byte {
-	avail := len(c.rcvBuf())
-	if max <= 0 || max > avail {
-		max = avail
+// ReadAll appends every in-order received byte to dst and empties the
+// receive buffer in place. A growing receive window is re-advertised
+// opportunistically by the next outbound segment.
+func (c *Conn) ReadAll(dst []byte) []byte {
+	if len(c.rcvBuf()) == 0 {
+		return dst
 	}
-	if max == 0 {
-		return nil
-	}
-	out := c.bufs.rcv[:max:max]
-	c.bufs.rcv = c.bufs.rcv[max:]
+	dst = append(dst, c.bufs.rcv...)
+	c.bufs.rcv = c.bufs.rcv[:0]
 	// If the window was closed and now reopened substantially, send a
 	// window update so the peer resumes.
 	if c.rcv.lastWndAdvertised == 0 && c.recvWindow() >= uint32(c.mss) {
 		c.sendAck()
 	}
-	return out
+	return dst
 }
 
-// RecvAvailable returns buffered in-order bytes not yet taken by Recv.
+// RecvAvailable returns buffered in-order bytes not yet taken by ReadAll.
 func (c *Conn) RecvAvailable() int { return len(c.rcvBuf()) }
 
 // EOF reports whether the peer's FIN has been fully received and all data

@@ -157,6 +157,87 @@ func TestTSOSendsSuperSegments(t *testing.T) {
 	}
 }
 
+// tsoView returns the payload view of the last TSO super-segment e sends.
+func tsoView(e *fakeEnv) *[]byte {
+	var view []byte
+	e.capture = func(seg OutSegment) {
+		if seg.TSO {
+			view = seg.Payload
+		}
+	}
+	return &view
+}
+
+// An acked send buffer restarts at its base: the second reply is emitted
+// from the same storage as the first.
+func TestSendBufferReusesStorage(t *testing.T) {
+	cfg := defCfg()
+	cfg.TSO = true
+	h := newHarness(4)
+	h.build(cfg, defCfg())
+	h.b.engine.Listen(proto.Addr{}, 80, 16)
+	cli, srv := h.connectPair(80)
+	view := tsoView(h.a)
+	payload := bytes.Repeat([]byte("x"), 8192)
+	var first []byte
+	for round := 0; round < 2; round++ {
+		if n := cli.Send(payload); n != len(payload) {
+			t.Fatalf("round %d: Send took %d of %d", round, n, len(payload))
+		}
+		if len(*view) == 0 {
+			t.Fatalf("round %d: no TSO super-segment", round)
+		}
+		if round == 0 {
+			first = *view
+		} else if &(*view)[0] != &first[0] {
+			t.Fatal("acked send buffer did not restart at its base")
+		}
+		h.run(h.now + sim.Second)
+		if cli.SendSpaceFree() != cfg.SendBuf {
+			t.Fatalf("round %d: %d bytes still unacked", round, cfg.SendBuf-cli.SendSpaceFree())
+		}
+	}
+	if got := len(h.b.recvData[srv]); got != 2*len(payload) {
+		t.Fatalf("receiver got %d bytes, want %d", got, 2*len(payload))
+	}
+}
+
+// A connection aborted with unacked bytes may still have a TSO view of
+// them queued towards the NIC. Its send storage must not be handed to the
+// next connection that takes the pooled buffer block.
+func TestAbortedSendStorageNotReused(t *testing.T) {
+	cfg := defCfg()
+	cfg.TSO = true
+	h := newHarness(4)
+	h.build(cfg, defCfg())
+	h.b.engine.Listen(proto.Addr{}, 80, 16)
+	cli, _ := h.connectPair(80)
+	view := tsoView(h.a)
+	payload := bytes.Repeat([]byte("a"), 8192)
+	cli.Send(payload)
+	if len(*view) == 0 {
+		t.Fatal("no TSO super-segment")
+	}
+	captured := *view
+	want := append([]byte(nil), captured...)
+	cli.Abort()
+	if ps := h.a.engine.PoolStats(); ps.FreeBufs != 1 {
+		t.Fatalf("aborted connection parked %d buffer blocks, want 1", ps.FreeBufs)
+	}
+
+	next, _ := h.connectPair(80)
+	if next == nil {
+		t.Fatal("second connection did not establish")
+	}
+	next.Send(bytes.Repeat([]byte("b"), 8192))
+	if ps := h.a.engine.PoolStats(); ps.FreeBufs != 0 {
+		t.Fatalf("new connection did not take the pooled block (%d free)", ps.FreeBufs)
+	}
+	if !bytes.Equal(captured, want) {
+		t.Fatal("in-flight TSO payload of the aborted connection was overwritten")
+	}
+}
+
 func TestLostDataSegmentRecovered(t *testing.T) {
 	h := newHarness(5)
 	h.build(defCfg(), defCfg())
@@ -371,7 +452,7 @@ func TestFlowControlZeroWindowAndResume(t *testing.T) {
 	// Drain and let the transfer finish.
 	var got []byte
 	for i := 0; i < 200000 && len(got) < len(payload); i++ {
-		got = append(got, srv.Recv(0)...)
+		got = srv.ReadAll(got)
 		if sent < len(payload) {
 			sent += cli.Send(payload[sent:])
 		}
@@ -413,10 +494,10 @@ func TestPersistProbeSurvivesLostWindowUpdate(t *testing.T) {
 		}
 		return false
 	}
-	srv.Recv(0) // open the window (update gets dropped)
+	srv.ReadAll(nil) // open the window (update gets dropped)
 	var got int
 	for i := 0; i < 200000; i++ {
-		got += len(srv.Recv(0))
+		got += len(srv.ReadAll(nil))
 		if sent < len(payload) {
 			sent += cli.Send(payload[sent:])
 		}

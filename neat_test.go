@@ -318,6 +318,89 @@ func TestClusterFacadeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEchoRepliesSurviveBufferRecycling pins the receive-side ownership
+// contract: OnData's bytes are recycled as soon as the callback returns,
+// so a server that echoes them with Socket.Send relies on Send copying
+// them. Many concurrent conversations keep the stack's buffer pools
+// busy, and every connection sends bytes no other connection sends, so
+// a reply assembled from a recycled buffer shows up as a mismatch.
+func TestEchoRepliesSurviveBufferRecycling(t *testing.T) {
+	const conns, rounds = 64, 8
+	net := neat.NewNetwork(99)
+	server := neat.NewServerMachine(net, neat.AMD12)
+	client := neat.NewClientMachine(net, 1)
+	sys, err := neat.StartNEaT(server, client, neat.SystemConfig{Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clisys, err := neat.StartClientSystem(client, server, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := apiApp(server.AppThread(5), sys.SyscallProc(), func(ctx *sim.Context, lib *socketlib.Lib) {
+		ln := lib.Listen(ctx, 4000, conns)
+		ln.OnAccept = func(ctx *sim.Context, s *socketlib.Socket) {
+			s.OnData = func(ctx *sim.Context, data []byte, eof bool) {
+				if len(data) > 0 {
+					s.Send(ctx, data)
+				}
+			}
+		}
+	})
+	srv.Deliver("go")
+	net.Sim.RunFor(neat.Millisecond)
+
+	// message is connection i's round-r payload: 300–1000 bytes whose
+	// content depends on both i and r.
+	message := func(i, r int) []byte {
+		b := make([]byte, 300+(i*37+r*101)%700)
+		for k := range b {
+			b[k] = byte(i*131 + r*17 + k)
+		}
+		return b
+	}
+	var completed, mismatched int
+	cli := apiApp(client.AppThread(4), clisys.SyscallProc(), func(ctx *sim.Context, lib *socketlib.Lib) {
+		for i := 0; i < conns; i++ {
+			i := i
+			round := 0
+			var got []byte
+			s := lib.Connect(ctx, neat.IPv4(10, 0, 0, 1), 4000)
+			s.OnConnect = func(ctx *sim.Context, err error) {
+				if err == nil {
+					s.Send(ctx, message(i, round))
+				}
+			}
+			s.OnData = func(ctx *sim.Context, data []byte, eof bool) {
+				got = append(got, data...)
+				want := message(i, round)
+				if len(got) < len(want) {
+					return
+				}
+				if string(got) != string(want) {
+					mismatched++
+				}
+				completed++
+				got = got[:0]
+				if round++; round < rounds {
+					s.Send(ctx, message(i, round))
+				} else {
+					s.Close(ctx)
+				}
+			}
+		}
+	})
+	cli.Deliver("go")
+	net.Sim.RunFor(200 * neat.Millisecond)
+
+	if mismatched != 0 {
+		t.Fatalf("%d of %d echoed messages came back corrupted", mismatched, completed)
+	}
+	if completed != conns*rounds {
+		t.Fatalf("completed %d of %d rounds", completed, conns*rounds)
+	}
+}
+
 // apiApp builds a minimal event-driven app process around a socket lib.
 func apiApp(th *sim.HWThread, syscall *sim.Proc, start func(*sim.Context, *socketlib.Lib)) *sim.Proc {
 	var lib *socketlib.Lib
